@@ -23,7 +23,7 @@ from .training import (
     SubproblemReport,
     TrainConfig,
     _as_feature_matrix,
-    fit_binary_logistic,
+    fit_logistic_columns,
     multinomial_prob_rows,
     train_multinomial,
 )
@@ -115,17 +115,16 @@ def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
     if data.m == 0:
         raise ValueError("cannot train on an empty dataset")
     counts = tuple(sorted(k for k in data.observed_counts if k >= 1))
-    popcounts = np.array([y.popcount for y in data.labels])
-    zero_targets = (popcounts == 0).astype(np.uint8)
-    zero_weights, zero_report = fit_binary_logistic(
-        data.features, zero_targets, cfg, name="zero"
+    popcounts = data.bits.sum(axis=1)
+    zero_weights, reports = fit_logistic_columns(
+        data.features, (popcounts == 0)[:, None], cfg, ["zero"]
     )
-    reports = [zero_report]
-    class_of_count = {k: pos for pos, k in enumerate(counts, start=1)}
+    # class of an active tag: the position of its row's count among counts
+    class_of_count = np.zeros(data.s + 1, dtype=np.intp)
+    class_of_count[list(counts)] = np.arange(1, len(counts) + 1)
     label_weights = np.empty((data.s, len(counts) + 1, data.d + 1))
     for j in range(1, data.s + 1):
-        active = np.array([y.bits[j - 1] for y in data.labels], dtype=bool)
-        class_of = np.where(active, [class_of_count.get(n, 0) for n in popcounts], 0)
+        class_of = np.where(data.bits[:, j - 1] == 1, class_of_count[popcounts], 0)
         fit = train_multinomial(
             data, class_of, len(counts) + 1, cfg, name=f"tag {j}"
         )
@@ -136,7 +135,7 @@ def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
         d=data.d,
         beta=beta,
         counts=counts,
-        zero_weights=zero_weights,
+        zero_weights=zero_weights[0],
         label_weights=label_weights,
         bias=cfg.bias,
         reg_lambda=cfg.reg_lambda,
@@ -188,14 +187,9 @@ def train_br(data: Dataset, cfg: TrainConfig) -> BrModel:
     """Fit s independent per-tag binary logistic models."""
     if data.m == 0:
         raise ValueError("cannot train on an empty dataset")
-    weights = np.empty((data.s, data.d + 1))
-    reports = []
-    for j in range(1, data.s + 1):
-        targets = np.array([y.bits[j - 1] for y in data.labels], dtype=np.uint8)
-        weights[j - 1], report = fit_binary_logistic(
-            data.features, targets, cfg, name=f"tag {j}"
-        )
-        reports.append(report)
+    weights, reports = fit_logistic_columns(
+        data.features, data.bits, cfg, [f"tag {j}" for j in range(1, data.s + 1)]
+    )
     return BrModel(
         s=data.s,
         d=data.d,

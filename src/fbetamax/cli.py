@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, train, predict, evaluate, consistency, crossval.
 
 Every command is deterministic given its flags and seed; errors exit with
-status 1 and a one-line diagnostic on stderr.
+status 1 and a one-line diagnostic on stderr.  A train run in which any
+subproblem misses its gradient tolerance is an error and writes no model.
 """
 
 from __future__ import annotations
@@ -221,6 +222,12 @@ def _cmd_train(args) -> int:
     else:
         model = train_br(data, cfg)
     _print_reports(model.reports)
+    unconverged = [rep.name for rep in model.reports if not rep.converged]
+    if unconverged:
+        raise ValueError(
+            f"{len(unconverged)} subproblem(s) did not converge: "
+            f"{', '.join(unconverged)}; no model written"
+        )
     dataio.save_model(model, args.model_out)
     print(f"wrote {args.model_out}")
     return 0

@@ -107,15 +107,13 @@ def _enumeration_tables(s: int, beta_value: float):
     """All candidate labelings with their coefficient rows and tie keys."""
     bits = all_labelings(s)
     coeffs = loss_coeffs_matrix(bits, BetaParam(beta_value))
-    pop = bits.sum(axis=1).astype(np.int64)
-    # lexicographic rank of the bit tuple: tag 1 is the most significant
-    lex = (bits.astype(np.int64) * (1 << (s - 1 - np.arange(s, dtype=np.int64)))).sum(axis=1)
-    tie = pop * (1 << s) + lex
-    return bits, coeffs, tie
+    return bits, coeffs, _tie_keys(bits, s)
 
 
 def _tie_keys(bits: np.ndarray, s: int) -> np.ndarray:
+    """Brute-force tie order: popcount first, then the lexicographic rank of the bits."""
     pop = bits.sum(axis=1).astype(np.int64)
+    # lexicographic rank of the bit tuple: tag 1 is the most significant
     lex = (bits.astype(np.int64) * (1 << (s - 1 - np.arange(s, dtype=np.int64)))).sum(axis=1)
     return pop * (1 << s) + lex
 

@@ -102,6 +102,20 @@ class TestEfpModel:
             )
 
 
+    def test_every_block_converges_on_the_ladder_task(self):
+        # s=6, d=100, m=316, reg 1e-4, no bias: the benchmark's fit task, on
+        # which L-BFGS-B used to stop at max_iters on 6 of the 7 blocks
+        from fbetamax.synth import build_distribution, sample_batch, to_dataset
+
+        dist = build_distribution(0, s=6, d=100)
+        data = to_dataset(dist, sample_batch(dist, 316, stream=0))
+        model = train_efp(data, TrainConfig(reg_lambda=1e-4, bias=False), B1)
+        assert len(model.reports) == 1 + data.s
+        for report in model.reports:
+            assert report.converged, report
+            assert report.grad_norm <= 1e-6
+
+
 class TestBrModel:
     def test_threshold_is_score_sign(self):
         # score exactly 0 counts as active (probability one half)

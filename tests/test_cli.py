@@ -150,6 +150,40 @@ class TestErrorPaths:
         assert code == 1
         assert "line 2" in err
 
+    def test_non_finite_features_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nonfinite.mlsparse"
+        bad.write_text("#ml-sparse v1 s=2 d=2\n1\t1:nan 2:inf\n2\t1:0.5\n\t2:1\n")
+        model_path = tmp_path / "m.txt"
+        code, stdout, err = _run(
+            capsys, "train", "--algo", "surrogate", "--input", str(bad),
+            "--model-out", str(model_path),
+        )
+        assert code == 1
+        assert "finite" in err
+        assert "objective=nan" not in stdout
+        assert not model_path.exists()
+
+    def test_unconverged_training_writes_no_model(self, tmp_path, capsys, monkeypatch):
+        from functools import partial
+
+        import fbetamax.cli as cli_mod
+        from fbetamax.training import TrainConfig
+
+        out = str(tmp_path / "task")
+        _run(capsys, *SYNTH, "--out-dir", out)
+        # one Newton step cannot reach the default gradient tolerance
+        monkeypatch.setattr(cli_mod, "TrainConfig", partial(TrainConfig, max_iters=1))
+        model_path = tmp_path / "m.txt"
+        code, stdout, err = _run(
+            capsys, "train", "--algo", "br", "--input", f"{out}/train.mlsparse",
+            "--model-out", str(model_path),
+        )
+        assert code == 1
+        assert "converged=NO" in stdout
+        assert err.startswith("error:")
+        assert "did not converge" in err and "tag 1" in err
+        assert not model_path.exists()
+
     def test_model_dataset_dimension_mismatch(self, tmp_path, capsys):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

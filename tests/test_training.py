@@ -10,10 +10,12 @@ from scipy.special import expit, logsumexp
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.surrogate import SurrogateConfig, binary_targets
 from fbetamax.training import (
+    NEWTON_MAX_DIM,
     Dataset,
     LinearModel,
     TrainConfig,
     fit_binary_logistic,
+    fit_logistic_columns,
     multinomial_prob_rows,
     train_multinomial,
     train_surrogate,
@@ -72,6 +74,42 @@ def newton_logistic(X, a, lam, bias, tol=1e-12, iters=200):
     return wb
 
 
+def newton_multinomial(X, y, C, lam, tol=1e-12, iters=100):
+    """Damped Newton on a softmax block with free biases, dense linear algebra.
+
+    The Hessian is singular along equal shifts of all biases; the step is
+    the minimum-norm least-squares solution.
+    """
+    m, d = X.shape
+    Xb = np.hstack([X, np.ones((m, 1))])
+    Y = np.eye(C)[y]
+    pen = np.tile(np.r_[np.full(d, lam), 0.0], C)
+
+    def objective(flat):
+        Z = Xb @ flat.reshape(C, d + 1).T
+        return np.mean(logsumexp(Z, axis=1) - Z[np.arange(m), y]) + 0.5 * flat @ (pen * flat)
+
+    flat = np.zeros(C * (d + 1))
+    for _ in range(iters):
+        Z = Xb @ flat.reshape(C, d + 1).T
+        P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+        g = ((P - Y).T @ Xb / m).ravel() + pen * flat
+        if np.max(np.abs(g)) <= tol:
+            break
+        H = np.zeros((C * (d + 1), C * (d + 1)))
+        for r in range(m):
+            H += np.kron(np.diag(P[r]) - np.outer(P[r], P[r]), np.outer(Xb[r], Xb[r]))
+        H = H / m + np.diag(pen)
+        step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        t, f0 = 1.0, objective(flat)
+        while objective(flat + t * step) > f0 - 1e-4 * t * abs(g @ step):
+            t *= 0.5
+            if t < 1e-12:
+                break
+        flat = flat + t * step
+    return flat.reshape(C, d + 1)
+
+
 class TestBinarySolver:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("lam", [0.5, 0.05])
@@ -122,6 +160,51 @@ class TestBinarySolver:
         cfg = TrainConfig()
         with pytest.raises(ValueError, match="empty"):
             fit_binary_logistic(sparse.csr_matrix((0, 3)), np.zeros(0), cfg)
+
+    def test_above_newton_cutoff_matches_newton_oracle(self):
+        # d + 1 weights exceed the cutoff, so this fit takes the L-BFGS-B path
+        rng = np.random.default_rng(17)
+        m, d, lam = 1200, NEWTON_MAX_DIM, 0.05
+        assert d + 1 > NEWTON_MAX_DIM
+        X = rng.normal(size=(m, d)) / np.sqrt(d)
+        w_true = rng.normal(size=d) * 2.0
+        a = (rng.random(m) < expit(X @ w_true + 0.3)).astype(float)
+        cfg = TrainConfig(reg_lambda=lam, max_iters=500, grad_tol=1e-6, bias=True)
+        wb, report = fit_binary_logistic(sparse.csr_matrix(X), a, cfg)
+        ref = newton_logistic(X, a, lam, True)
+        np.testing.assert_allclose(wb, ref, atol=1e-4)
+        assert report.converged
+
+    @pytest.mark.parametrize("d", [4, NEWTON_MAX_DIM + 1])
+    def test_non_finite_features_never_report_converged(self, d):
+        # Dataset rejects such input; the solvers themselves must not claim success
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, d))
+        X[2, 1] = np.nan
+        a = rng.integers(0, 2, size=30).astype(float)
+        _, report = fit_binary_logistic(sparse.csr_matrix(X), a, TrainConfig())
+        assert not report.converged
+        assert not np.isfinite(report.grad_norm)
+
+    def test_columns_match_one_column_fits_exactly(self):
+        # batching columns changes no bit of any column's result
+        rng = np.random.default_rng(19)
+        X = sparse.csr_matrix(rng.normal(size=(70, 5)))
+        T = rng.integers(0, 2, size=(70, 4)).astype(float)
+        T[:, 3] = 0.0  # a saturating column converges later than the others
+        cfg = TrainConfig(reg_lambda=0.01)
+        W, reports = fit_logistic_columns(X, T, cfg, ["a", "b", "c", "d"])
+        assert [r.name for r in reports] == ["a", "b", "c", "d"]
+        for c in range(4):
+            wb, report = fit_binary_logistic(X, T[:, c], cfg, name=reports[c].name)
+            np.testing.assert_array_equal(W[c], wb)
+            assert report == reports[c]
+            assert report.converged
+
+    def test_columns_need_one_name_each(self):
+        X = sparse.csr_matrix(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="name"):
+            fit_logistic_columns(X, np.zeros((3, 2)), TrainConfig(), ["only"])
 
     def test_bias_disabled_pins_last_weight(self):
         rng = np.random.default_rng(8)
@@ -275,6 +358,31 @@ class TestMultinomial:
         assert max(np.abs(Gw).max(), np.abs(Gb).max()) <= 1e-6 + 1e-12
         assert fit.report.converged
 
+    def test_three_class_bias_matches_newton_oracle(self):
+        # biases are free, so the sum of the biases is a flat direction
+        rng = np.random.default_rng(31)
+        m, d, C, lam = 150, 4, 3, 0.05
+        X = rng.normal(size=(m, d))
+        y = rng.integers(0, C, size=m)
+        data = Dataset(
+            s=1, d=d, features=sparse.csr_matrix(X),
+            labels=tuple(LabelVec((0,)) for _ in range(m)),
+        )
+        fit = train_multinomial(data, y, C, TrainConfig(reg_lambda=lam, grad_tol=1e-8))
+        assert fit.report.converged
+        W = fit.weights
+        Z = X @ W[:, :d].T + W[:, d]
+        P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+        R = P.copy()
+        R[np.arange(m), y] -= 1.0
+        R /= m
+        G = np.hstack([(X.T @ R).T + lam * W[:, :d], R.sum(axis=0)[:, None]])
+        assert np.abs(G).max() <= 1e-8 + 1e-12
+        ref = newton_multinomial(X, y, C, lam)
+        Zr = np.hstack([X, np.ones((m, 1))]) @ ref.T
+        P_ref = np.exp(Zr - logsumexp(Zr, axis=1)[:, None])
+        np.testing.assert_allclose(P, P_ref, atol=1e-7)
+
     def test_rejects_bad_class_indices(self):
         rng = np.random.default_rng(4)
         data = _random_dataset(rng, m=10, s=2, d=3)
@@ -295,6 +403,16 @@ class TestDataset:
             Dataset(
                 s=2, d=3, features=sparse.csr_matrix(np.zeros((1, 3))),
                 labels=(LabelVec((0, 1, 1)),),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.ones((2, 3))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(
+                s=2, d=3, features=sparse.csr_matrix(X),
+                labels=(LabelVec((0, 1)), LabelVec((1, 1))),
             )
 
     def test_observed_counts(self):
