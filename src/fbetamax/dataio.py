@@ -169,9 +169,12 @@ def load_stat_probs(path) -> np.ndarray:
         if len(vals) != width:
             raise DataFormatError(f"line {lineno}: expected {width} values")
         try:
-            rows.append([float(v) for v in vals])
+            row = [float(v) for v in vals]
         except ValueError:
             raise DataFormatError(f"line {lineno}: bad float") from None
+        if not all(np.isfinite(row)):
+            raise DataFormatError(f"line {lineno}: values must be finite")
+        rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 
@@ -325,6 +328,8 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
 
     The source header line is 'num_points num_features num_labels'; label
     and feature indices are 0-based by default.  Output is a dataset file.
+    A point count that disagrees with the header, a malformed or duplicate
+    feature, or a non-finite value raises with the line number.
     """
     lines = _read_lines(src)
     head = lines[0].split() if lines else []
@@ -334,27 +339,47 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
         m, d, s = (int(tok) for tok in head)
     except ValueError:
         raise DataFormatError("line 1: counts must be integers") from None
+    if m < 0 or d < 1 or s < 1:
+        raise DataFormatError("line 1: num_points must be >= 0, the other counts >= 1")
+    body = lines[1:]
+    if body and body[-1] == "":
+        body.pop()  # trailing newline
+    if len(body) != m:
+        raise DataFormatError(
+            f"line {min(len(body), m) + 2}: header declares {m} points, file holds {len(body)}"
+        )
     shift = 1 if zero_based else 0
     out = [f"{_DATASET_MAGIC} s={s} d={d}"]
-    for lineno, line in enumerate(lines[1 : m + 1], start=2):
+    for lineno, line in enumerate(body, start=2):
         parts = line.split(" ")
         label_part = ""
         feats = parts
         if parts and ":" not in parts[0]:
             label_part, feats = parts[0], parts[1:]
-        tags = sorted({int(tok) + shift for tok in label_part.split(",") if tok != ""})
+        try:
+            tags = sorted({int(tok) + shift for tok in label_part.split(",") if tok != ""})
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: bad label index in {label_part!r}") from None
         if any(not 1 <= j <= s for j in tags):
             raise DataFormatError(f"line {lineno}: label index out of range")
-        pairs = []
+        pairs = {}
         for tok in feats:
             if not tok:
                 continue
-            idx_txt, val_txt = tok.split(":", 1)
-            pairs.append((int(idx_txt) + shift, float(val_txt)))
-        pairs.sort()
-        if any(not 1 <= idx <= d for idx, _ in pairs):
-            raise DataFormatError(f"line {lineno}: feature index out of range")
-        feat_txt = " ".join(f"{idx}:{_fmt(val)}" for idx, val in pairs)
+            # a token without ':' leaves val_txt empty, which float() rejects
+            idx_txt, _, val_txt = tok.partition(":")
+            try:
+                idx, val = int(idx_txt) + shift, float(val_txt)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}") from None
+            if not np.isfinite(val):
+                raise DataFormatError(f"line {lineno}: feature value {val_txt!r} is not finite")
+            if not 1 <= idx <= d:
+                raise DataFormatError(f"line {lineno}: feature index out of range")
+            if idx in pairs:
+                raise DataFormatError(f"line {lineno}: duplicate feature index {idx_txt}")
+            pairs[idx] = val
+        feat_txt = " ".join(f"{idx}:{_fmt(pairs[idx])}" for idx in sorted(pairs))
         out.append(f"{','.join(str(t) for t in tags)}\t{feat_txt}")
     with open(dst, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
-from .decoding import decode_rows
+from .decoding import decode_rows, row_chunks
 from .fmeasure import BetaParam, LabelVec, StatIndex, StatVec, label_stats_matrix
 from .surrogate import SurrogateConfig
 
@@ -128,6 +128,16 @@ def _as_feature_matrix(X, d: int) -> sparse.csr_matrix:
     if X.shape[1] != d:
         raise ValueError(f"features have {X.shape[1]} columns, model expects {d}")
     return X
+
+
+def _row_blocks(X: sparse.csr_matrix, s: int):
+    """Yield (rows, X[rows]) per decoding row chunk; a single chunk is X itself, unsliced."""
+    chunks = row_chunks(X.shape[0], s)
+    if len(chunks) == 1:
+        yield chunks[0], X
+        return
+    for rows in chunks:
+        yield rows, X[rows]
 
 
 # Largest Newton system solved by damped Newton: p = d+1 weights per binary
@@ -462,21 +472,40 @@ class LinearModel:
         flats.flags.writeable = False
         return flats
 
+    @cached_property
+    def _feature_weights(self) -> np.ndarray:
+        """(d, n_active) contiguous copy of the non-bias weights, for X @ W."""
+        return np.ascontiguousarray(self.weights[:, : self.d].T)
+
+    def _score_chunks(self, X: sparse.csr_matrix):
+        """Yield (rows, raw scores) per row chunk of X; each scores array is fresh."""
+        for rows, X_rows in _row_blocks(X, self.s):
+            scores = X_rows @ self._feature_weights
+            scores += self.weights[:, self.d]
+            yield rows, scores
+
     def score_rows(self, X) -> np.ndarray:
         """(m, n_active) raw scores for a feature matrix."""
         X = _as_feature_matrix(X, self.d)
-        return X @ self.weights[:, : self.d].T + self.weights[:, self.d]
+        out = np.empty((X.shape[0], len(self.active_indices)))
+        for rows, scores in self._score_chunks(X):
+            out[rows] = scores
+        return out
 
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means; inactive coordinates are exactly 0."""
         X = _as_feature_matrix(X, self.d)
         out = np.zeros((X.shape[0], self.s * self.s + 1))
-        out[:, self.active_flats] = expit(self.score_rows(X))
+        for rows, scores in self._score_chunks(X):
+            out[rows, self.active_flats] = expit(scores, out=scores)
         return out
 
     def predict_rows(self, X) -> np.ndarray:
-        """(m, s) decoded labelings as a bit matrix."""
-        bits, _ = decode_rows(self.stat_prob_rows(X), self.s, self.beta)
+        """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
+        X = _as_feature_matrix(X, self.d)
+        bits = np.empty((X.shape[0], self.s), dtype=np.uint8)
+        for rows, X_rows in _row_blocks(X, self.s):
+            bits[rows], _ = decode_rows(self.stat_prob_rows(X_rows), self.s, self.beta)
         return bits
 
     def predict_scores(self, x) -> StatVec:

@@ -87,6 +87,24 @@ class TestPipeline:
         assert code == 0
         assert len(load_predictions(pred_path, 3)) == 200
 
+    @pytest.mark.parametrize("algo", ["surrogate", "efp", "br"])
+    def test_empty_dataset_gives_empty_predictions(self, tmp_path, capsys, algo):
+        out = str(tmp_path / "task")
+        _run(capsys, *SYNTH, "--out-dir", out)
+        model_path = str(tmp_path / "model.txt")
+        _run(capsys, "train", "--algo", algo, "--input", f"{out}/train.mlsparse",
+             "--model-out", model_path)
+        empty = tmp_path / "empty.mlsparse"
+        empty.write_text("#ml-sparse v1 s=3 d=12\n")
+        pred_path = tmp_path / "pred.txt"
+        code, stdout, err = _run(
+            capsys, "predict", "--model", model_path, "--input", str(empty),
+            "--out", str(pred_path),
+        )
+        assert code == 0, err
+        assert "(0 predictions)" in stdout
+        assert pred_path.read_text() == ""
+
     def test_pipeline_is_deterministic(self, tmp_path, capsys):
         outs = []
         for name in ("a", "b"):

@@ -146,6 +146,13 @@ class TestStatProbSidecar:
         with pytest.raises(DataFormatError, match="expected 5 values"):
             load_stat_probs(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        p = tmp_path / "q.txt"
+        _write(p, f"#ml-q v1 s=1\n0.5 0.5\n{bad} 0.5\n")
+        with pytest.raises(DataFormatError, match="line 3: values must be finite"):
+            load_stat_probs(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "z.txt"
         _write(p, "#ml-probs v1 s=2\n")
@@ -307,6 +314,38 @@ class TestConvertInterchange:
         _write(src, "3 4\n")
         with pytest.raises(DataFormatError, match="num_points"):
             convert_interchange(src, tmp_path / "dst.txt")
+
+    @pytest.mark.parametrize(
+        "body, lineno, needle",
+        [
+            ("0 1:0.5\n", 3, "declares 2 points, file holds 1"),
+            ("0 1:0.5\n1 0:1\n0 0:2\n", 4, "declares 2 points, file holds 3"),
+            ("0 1:0.5\n1 0:1 1\n", 3, "bad feature pair '1'"),
+            ("0 1:0.5\n1 x:1\n", 3, "bad feature pair 'x:1'"),
+            ("0 1:abc\n1 0:1\n", 2, "bad feature pair '1:abc'"),
+            ("0 1:0.5\n1 0:inf\n", 3, "not finite"),
+            ("0 1:nan\n1 0:1\n", 2, "not finite"),
+            ("0 1:0.5 1:0.25\n1 0:1\n", 2, "duplicate feature index 1"),
+            ("0,x 1:0.5\n1 0:1\n", 2, "bad label index"),
+        ],
+    )
+    def test_malformed_rows_carry_line_numbers(self, tmp_path, body, lineno, needle):
+        src = tmp_path / "src.txt"
+        _write(src, "2 3 2\n" + body)
+        dst = tmp_path / "dst.txt"
+        with pytest.raises(DataFormatError) as err:
+            convert_interchange(src, dst)
+        assert f"line {lineno}:" in str(err.value)
+        assert needle in str(err.value)
+        assert not dst.exists()
+
+    def test_blank_line_is_an_empty_point(self, tmp_path):
+        src = tmp_path / "src.txt"
+        _write(src, "2 3 2\n0 1:0.5\n\n")
+        convert_interchange(src, tmp_path / "dst.txt")
+        data = load_dataset(tmp_path / "dst.txt")
+        # the blank second line is a point with no labels and no features
+        assert data.m == 2 and data.labels[1] == LabelVec((0, 0))
 
     def test_out_of_range_label(self, tmp_path):
         src = tmp_path / "src.txt"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fbetamax.decoding import (
     MAX_BRUTE_S,
     DecodeInput,
+    chunk_rows,
     decode_brute,
     decode_fast,
     decode_rows,
@@ -30,6 +31,25 @@ from conftest import random_valid_means
 
 B1 = BetaParam(1.0)
 BETAS = (BetaParam(0.5), BetaParam(1.0), BetaParam(2.0))
+# distinct rows tiled over a batch; no chunk_rows(s) tested is a multiple of
+# it, so consecutive chunks start on different rows
+CYCLE = 37
+
+
+def boundary_sizes(s: int) -> list[int]:
+    """Batch sizes at and around the decoder's row-chunk boundaries."""
+    c = chunk_rows(s)
+    return [0, 1, c - 1, c, c + 1, 2 * c + 1]
+
+
+def tie_heavy_means(s: int, rng: np.random.Generator) -> np.ndarray:
+    """Entries in {0, 1/2, 1}; in half the rows several tags share one per-count column."""
+    halves = np.array([0.0, 0.5, 1.0])
+    if rng.random() < 0.5:
+        return rng.choice(halves, size=s * s + 1)
+    columns = rng.choice(halves, size=(int(rng.integers(1, s + 1)), s))
+    per_tag = columns[rng.integers(0, columns.shape[0], size=s)]
+    return np.concatenate([rng.choice(halves, size=1), per_tag.ravel()])
 
 
 def _brute_objective(q: StatVec, yhat: LabelVec, beta: BetaParam) -> float:
@@ -62,6 +82,36 @@ class TestWorkedCases:
         inp = DecodeInput(q, B1)
         assert decode_fast(inp) == LabelVec((0, 0))
         assert decode_brute(inp) == LabelVec((0, 0))
+
+    def test_same_size_tie_keeps_smaller_tags(self):
+        # tags 2 and 3 score alike; both decoders keep tag 1 and the smaller of the pair
+        q = StatVec(3, np.array([0.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+        inp = DecodeInput(q, BetaParam(0.5))
+        assert decode_fast(inp) == LabelVec((1, 1, 0))
+        assert decode_brute(inp) == LabelVec((1, 1, 0))
+
+    @pytest.mark.parametrize("s", [20, 50])
+    def test_alike_tags_fill_from_the_smallest_index(self, s):
+        # each tag takes one of three per-count columns, with mass on the
+        # smallest counts; the decoded labeling must hold a prefix of every
+        # group of alike tags, and some groups are only partly chosen
+        rng = np.random.default_rng(s)
+        n = 300
+        group = rng.integers(0, 3, size=(n, s))
+        columns = np.zeros((n, 3, s))
+        columns[:, :, :5] = rng.uniform(size=(n, 3, 5)) * (np.arange(5) < rng.integers(2, 6, size=(n, 1, 1)))
+        per_tag = np.take_along_axis(columns, group[:, :, None], axis=1)
+        q = np.concatenate([rng.uniform(0.0, 0.2, size=(n, 1)), per_tag.reshape(n, s * s)], axis=1)
+        partial = 0
+        for beta in BETAS:
+            bits, _ = decode_rows(q, s, beta)
+            for g in range(3):
+                members = np.where(group == g, bits, 2)
+                for row in members:
+                    row = row[row < 2]
+                    assert np.all(row[:-1] >= row[1:])
+                    partial += 0 < row.sum() < row.size
+        assert partial > 0
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
@@ -118,6 +168,32 @@ class TestOracleEquivalence:
                         for row in bits
                     )
                     assert expected_fbeta(q, got, beta) >= best - 1e-12
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("s", [1, 6, 50])
+    def test_rows_match_one_row_decodes(self, s):
+        rng = np.random.default_rng(500 + s)
+        base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)])
+        one_bits = np.array([decode_fast(DecodeInput(StatVec(s, q), B1)).bits for q in base])
+        one_objs = np.array([decode_rows(q[None, :], s, B1)[1][0] for q in base])
+        for m in boundary_sizes(s):
+            cycle = np.arange(m) % CYCLE
+            bits, objs = decode_rows(base[cycle], s, B1)
+            assert bits.dtype == np.uint8 and bits.shape == (m, s) and objs.shape == (m,)
+            np.testing.assert_array_equal(bits, one_bits[cycle])
+            np.testing.assert_array_equal(objs, one_objs[cycle])
+
+    @pytest.mark.parametrize("s", [1, 6])
+    @pytest.mark.parametrize("beta", BETAS, ids=lambda b: f"beta{b.beta:g}")
+    def test_tie_heavy_rows_match_enumeration(self, s, beta):
+        rng = np.random.default_rng(700 + s)
+        base = np.stack([tie_heavy_means(s, rng) for _ in range(CYCLE)])
+        brute = np.array([decode_brute(DecodeInput(StatVec(s, q), beta)).bits for q in base])
+        for m in boundary_sizes(s):
+            cycle = np.arange(m) % CYCLE
+            bits, _ = decode_rows(base[cycle], s, beta)
+            np.testing.assert_array_equal(bits, brute[cycle])
 
 
 class TestValidation:

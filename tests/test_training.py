@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit, logsumexp
 
+from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.surrogate import SurrogateConfig, binary_targets
 from fbetamax.training import (
@@ -299,6 +300,29 @@ class TestLinearModelPrediction:
         bits = model.predict_rows(X)
         for i in range(7):
             assert model.predict(X[i]) == LabelVec(tuple(int(b) for b in bits[i]))
+
+    @pytest.mark.parametrize("s", [1, 6, 50])
+    def test_chunk_boundaries_match_one_product(self, s):
+        c = chunk_rows(s)
+        d = 4
+        rng = np.random.default_rng(900 + s)
+        # a partial K leaves inactive coordinates, which must stay exactly 0
+        scfg = SurrogateConfig.for_counts(s, sorted({0, 1, s}), B1)
+        W = rng.normal(size=(scfg.n_subproblems(), d + 1))
+        model = LinearModel(s=s, d=d, beta=B1, active_indices=scfg.active_indices,
+                            weights=W, bias=True, reg_lambda=0.0)
+        X_all = sparse.random(2 * c + 1, d, density=0.5, format="csr",
+                              random_state=np.random.RandomState(s))
+        for m in (0, 1, c - 1, c, c + 1, 2 * c + 1):
+            X = X_all[:m]
+            expected = np.zeros((m, s * s + 1))
+            expected[:, scfg.active_flats] = expit(X @ W[:, :d].T + W[:, d])
+            probs = model.stat_prob_rows(X)
+            np.testing.assert_array_equal(probs, expected)
+            np.testing.assert_array_equal(model.score_rows(X), X @ W[:, :d].T + W[:, d])
+            bits = model.predict_rows(X)
+            assert bits.shape == (m, s)
+            np.testing.assert_array_equal(bits, decode_rows(probs, s, B1)[0])
 
     def test_feature_width_mismatch(self):
         model = self._tiny_model()
