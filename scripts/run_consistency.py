@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from fbetamax.cli import CONSISTENCY_CSV_COLUMNS, _parse_sizes, run_consistency
+from fbetamax.cli import CONSISTENCY_CSV_COLUMNS, _parse_sizes, check_converged, run_consistency
 from fbetamax.fmeasure import BetaParam
 from fbetamax.synth import SUPPORTS
 
@@ -59,6 +59,7 @@ def main(argv=None) -> int:
         )
     print(f"total {elapsed:.1f}s")
 
+    check_converged(rows)
     if args.out:
         lines = [",".join(CONSISTENCY_CSV_COLUMNS)]
         lines.extend(row.to_csv_row() for row in rows)

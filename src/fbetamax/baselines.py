@@ -16,13 +16,14 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .decoding import decode_rows
 from .fmeasure import BetaParam, LabelVec, StatIndex
 from .training import (
     Dataset,
     SubproblemReport,
     TrainConfig,
     _as_feature_matrix,
+    _predict_by_chunks,
+    _row_blocks,
     fit_logistic_columns,
     multinomial_prob_rows,
     train_multinomial,
@@ -88,22 +89,22 @@ class EfpModel:
         return flats
 
     def stat_prob_rows(self, X) -> np.ndarray:
-        """(m, s^2+1) estimated means assembled from the probability blocks."""
+        """(m, s^2+1) estimated means assembled from the probability blocks, chunk by chunk."""
         X = _as_feature_matrix(X, self.d)
-        m = X.shape[0]
-        out = np.zeros((m, self.s * self.s + 1))
-        zero_score = X @ self.zero_weights[: self.d]
-        if self.bias:
-            zero_score = zero_score + self.zero_weights[self.d]
-        out[:, 0] = expit(zero_score)
-        for j in range(1, self.s + 1):
-            probs = multinomial_prob_rows(self.label_weights[j - 1], X, self.bias)
-            out[:, self._pair_flats[j - 1]] = probs[:, 1:]
+        out = np.zeros((X.shape[0], self.s * self.s + 1))
+        for rows, X_rows in _row_blocks(X, self.s):
+            zero_score = X_rows @ self.zero_weights[: self.d]
+            if self.bias:
+                zero_score += self.zero_weights[self.d]
+            out[rows, 0] = expit(zero_score)
+            for j in range(1, self.s + 1):
+                probs = multinomial_prob_rows(self.label_weights[j - 1], X_rows, self.bias)
+                out[rows, self._pair_flats[j - 1]] = probs[:, 1:]
         return out
 
     def predict_rows(self, X) -> np.ndarray:
-        bits, _ = decode_rows(self.stat_prob_rows(X), self.s, self.beta)
-        return bits
+        """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
+        return _predict_by_chunks(self, X)
 
     def predict(self, x) -> LabelVec:
         bits = self.predict_rows(x)

@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, train, predict, evaluate, consistency, crossval.
 
 Every command is deterministic given its flags and seed; errors exit with
-status 1 and a one-line diagnostic on stderr.  A train run in which any
-subproblem misses its gradient tolerance is an error and writes no model.
+status 1 and a one-line diagnostic on stderr.  A train or consistency run in
+which any subproblem misses its gradient tolerance is an error and writes no
+model or CSV.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .surrogate import SurrogateConfig
 from .synth import build_distribution, sample_batch
 from .training import Dataset, TrainConfig, train_surrogate
 
-__all__ = ["ConsistencyRow", "main", "run_consistency"]
+__all__ = ["ConsistencyRow", "check_converged", "main", "run_consistency"]
 
 CONSISTENCY_CSV_COLUMNS = (
     "m",
@@ -56,6 +57,8 @@ class ConsistencyRow:
     mae_surrogate: float
     mae_efp: float
     efp_agreement: float
+    # names of the unconverged subproblems per algorithm, empty when all passed
+    unconverged: dict[str, tuple[str, ...]]
 
     def to_csv_row(self) -> str:
         return ",".join(
@@ -109,6 +112,10 @@ def run_consistency(
         model = train_surrogate(sub, cfg, scfg)
         efp = train_efp(sub, cfg, beta)
         br = train_br(sub, cfg)
+        unconverged = {
+            algo: tuple(rep.name for rep in fit.reports if not rep.converged)
+            for algo, fit in (("surrogate", model), ("efp", efp), ("br", br))
+        }
 
         probs_surr = model.stat_prob_rows(test_X)
         bits_surr, _ = decode_rows(probs_surr, s, beta)
@@ -133,9 +140,25 @@ def run_consistency(
                 mae_surrogate=float(np.mean(np.abs(probs_surr - test.stat_probs))),
                 mae_efp=float(np.mean(np.abs(probs_efp - test.stat_probs))),
                 efp_agreement=float(np.mean(np.all(bits_surr == bits_efp, axis=1))),
+                unconverged=unconverged,
             )
         )
     return rows
+
+
+def check_converged(rows) -> None:
+    """Raise ValueError naming size, algorithm and subproblem of every unconverged solve."""
+    unconverged = [
+        f"m={row.m} {algo} {name}"
+        for row in rows
+        for algo, names in row.unconverged.items()
+        for name in names
+    ]
+    if unconverged:
+        raise ValueError(
+            f"{len(unconverged)} subproblem(s) did not converge: "
+            f"{', '.join(unconverged)}; no CSV written"
+        )
 
 
 def _write_consistency_csv(rows, path) -> None:
@@ -263,13 +286,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_consistency(args) -> int:
     sizes = _parse_sizes(args.sizes)
     rows = run_consistency(args.seed, sizes)
-    _write_consistency_csv(rows, args.out)
     for row in rows:
         print(
             f"m={row.m}: f1_surrogate={row.f1_surrogate:.4f} f1_efp={row.f1_efp:.4f} "
             f"f1_br={row.f1_br:.4f} f1_bayes={row.f1_bayes:.4f} "
             f"psi_regret={row.psi_regret:.5f} bound_ok={int(row.bound_ok)}"
         )
+    check_converged(rows)
+    _write_consistency_csv(rows, args.out)
     last = rows[-1]
     print(f"final gap (f1_bayes - f1_surrogate) at m={last.m}: "
           f"{last.f1_bayes - last.f1_surrogate:.4f}")

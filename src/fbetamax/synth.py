@@ -11,6 +11,7 @@ holds by construction and a linear-logistic estimator is well-specified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -61,6 +62,11 @@ class SynthDistribution:
     @property
     def n_outcomes(self) -> int:
         return self.support_bits.shape[0]
+
+    @cached_property
+    def labelings(self) -> tuple[LabelVec, ...]:
+        """One shared LabelVec per support row, indexed by outcome."""
+        return tuple(LabelVec(tuple(row)) for row in self.support_bits.tolist())
 
 
 def _support_bits(s: int, support: str) -> np.ndarray:
@@ -133,6 +139,43 @@ def _point_rng(dist: SynthDistribution, index: int, stream: int) -> np.random.Ge
     )
 
 
+# points whose algebra runs as one block; bounds the block temporaries at
+# about _BLOCK_ROWS * max(d, n_outcomes) floats
+_BLOCK_ROWS = 1024
+
+
+def _sample_rows(dist: SynthDistribution, start: int, stop: int, stream: int):
+    """Points start..stop-1 of a stream as (outcome probs, means q, features, outcomes).
+
+    Each point's own generator draws its Gamma components and then one
+    uniform, which is all that Generator.choice(n, p=p) draws; the outcome
+    is the count of cdf entries <= that uniform, the comparison choice
+    makes.  The rest runs on the whole block, except that q and the
+    features are one matrix-vector product per row: a matrix product over
+    the block would round differently.
+    """
+    n = stop - start
+    P = np.empty((n, dist.n_outcomes))
+    u = np.empty(n)
+    for r in range(n):
+        rng = _point_rng(dist, start + r, stream)
+        P[r] = rng.standard_gamma(dist.concentration)
+        u[r] = rng.random()
+    P /= P.sum(axis=1, keepdims=True)
+    stats_T = dist.support_stats.T
+    Q = np.empty((n, dist.s * dist.s + 1))
+    for r in range(n):
+        Q[r] = stats_T @ P[r]
+    logits = logit_link(Q)
+    X = np.empty((n, dist.d))
+    for r in range(n):
+        X[r] = dist.logit_map_pinv @ logits[r]
+    cdf = np.cumsum(P, axis=1)
+    cdf /= cdf[:, -1:]
+    outcomes = np.count_nonzero(cdf <= u[:, None], axis=1)
+    return P, Q, X, outcomes
+
+
 def sample_point(dist: SynthDistribution, index: int, stream: int = 0) -> SamplePoint:
     """Draw point `index` of the given stream; deterministic in (seed, stream, index).
 
@@ -141,17 +184,12 @@ def sample_point(dist: SynthDistribution, index: int, stream: int = 0) -> Sample
     as the pseudo-inverse image of logit(q), and a labeling sampled from
     the outcome probabilities.
     """
-    rng = _point_rng(dist, index, stream)
-    gamma = rng.standard_gamma(dist.concentration)
-    p = gamma / gamma.sum()
-    q = dist.support_stats.T @ p
-    x = dist.logit_map_pinv @ logit_link(q)
-    outcome = int(rng.choice(dist.n_outcomes, p=p))
+    P, Q, X, outcomes = _sample_rows(dist, index, index + 1, stream)
     return SamplePoint(
-        features=x,
-        labeling=LabelVec(tuple(int(b) for b in dist.support_bits[outcome])),
-        outcome_probs=p,
-        stat_probs=StatVec(dist.s, q),
+        features=X[0],
+        labeling=dist.labelings[outcomes[0]],
+        outcome_probs=P[0],
+        stat_probs=StatVec(dist.s, Q[0]),
     )
 
 
@@ -169,17 +207,16 @@ class SynthSample:
 
 
 def sample_batch(dist: SynthDistribution, n: int, stream: int = 0) -> SynthSample:
-    """Draw points 0..n-1 of a stream as one batch."""
+    """Draw points 0..n-1 of a stream as one batch, equal to sample_point on each."""
     if n < 1:
         raise ValueError("batch size must be >= 1")
     features = np.empty((n, dist.d))
     stat_probs = np.empty((n, dist.s * dist.s + 1))
     labels = []
-    for i in range(n):
-        point = sample_point(dist, i, stream)
-        features[i] = point.features
-        stat_probs[i] = point.stat_probs.entries
-        labels.append(point.labeling)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        _, stat_probs[lo:hi], features[lo:hi], outcomes = _sample_rows(dist, lo, hi, stream)
+        labels.extend(dist.labelings[k] for k in outcomes)
     return SynthSample(features=features, labels=tuple(labels), stat_probs=stat_probs)
 
 

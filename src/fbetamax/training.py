@@ -140,14 +140,24 @@ def _row_blocks(X: sparse.csr_matrix, s: int):
         yield rows, X[rows]
 
 
-# Largest Newton system solved by damped Newton: p = d+1 weights per binary
-# column (d without a bias), C*p for a C-class softmax block; larger systems
-# run L-BFGS-B.  A Newton iteration costs about m*p^2 + p^3/3 flops.  On a
-# d-sweep over dense features Newton stayed faster up to p ~ 550 for binary
-# columns and C*p ~ 1700 for softmax blocks, where L-BFGS-B also stopped at
-# max_iters up to C*p ~ 1050.  On sparse, well-conditioned features
-# L-BFGS-B is faster at every size, so below the cutoff those trade speed
-# for an exactly converged fit.
+def _predict_by_chunks(model, X) -> np.ndarray:
+    """(m, s) decoded bits of model.stat_prob_rows, one decoding row chunk at a time."""
+    X = _as_feature_matrix(X, model.d)
+    bits = np.empty((X.shape[0], model.s), dtype=np.uint8)
+    for rows, X_rows in _row_blocks(X, model.s):
+        bits[rows], _ = decode_rows(model.stat_prob_rows(X_rows), model.s, model.beta)
+    return bits
+
+
+# Largest problem solved by damped Newton, in weights: p = d+1 per binary
+# column (d without a bias), C*p per C-class softmax block.  A softmax step
+# solves only (C-1)*p unknowns, but the cutoff counts C*p, the units of the
+# sweep below.  Larger problems run L-BFGS-B.  A Newton iteration costs
+# about m*p^2 + p^3/3 flops.  On a d-sweep over dense features Newton
+# stayed faster up to p ~ 550 for binary columns and C*p ~ 1700 for softmax
+# blocks, where L-BFGS-B also stopped at max_iters up to C*p ~ 1050.  On
+# sparse, well-conditioned features L-BFGS-B is faster at every size, so
+# below the cutoff those trade speed for an exactly converged fit.
 NEWTON_MAX_DIM = 1000
 
 # sufficient-decrease constant of the backtracking line search
@@ -271,21 +281,34 @@ def _newton_logistic(Xb: sparse.csr_matrix, T: np.ndarray, reg: np.ndarray, cfg:
     return _damped_newton(evaluate, direction, p, T.shape[1], cfg)
 
 
+def _sum_zero_basis(C: int) -> np.ndarray:
+    """C x (C-1) orthonormal Helmert columns, each orthogonal to the all-ones vector."""
+    k = np.arange(1, C)
+    basis = np.triu(np.ones((C, C - 1)))
+    basis[k, k - 1] = -k
+    return basis / np.sqrt(k * (k + 1))
+
+
 def _newton_multinomial(
     Xb: sparse.csr_matrix, labels: np.ndarray, C: int, reg: np.ndarray, cfg: TrainConfig
 ):
-    """Damped Newton on one softmax block; parameters are the C x p weights, flattened."""
+    """Damped Newton on one softmax block; parameters are the C x p weights, flattened.
+
+    Shifting every class by one weight vector leaves the softmax unchanged,
+    so the loss Hessian vanishes on those directions.  Iterates and
+    gradients have zero class sums, so each step is solved for (C-1) x p
+    coordinates E in the sum-zero subspace, W = basis @ E, where the
+    Hessian has no null directions.
+    """
     m, p = Xb.shape
     XbT = Xb.T.tocsr()
     dense = Xb.toarray()
     rows = np.arange(m)
-    diag = np.diag_indices(C * p)
-    # Shifting every class by one weight vector leaves the softmax unchanged,
-    # so the loss Hessian vanishes on the directions 1_C (x) v.  Iterates and
-    # gradients stay orthogonal to them (the class sums of both are zero),
-    # and adding the orthogonal projector onto them makes the system
-    # nonsingular while leaving the Newton step in that complement exact.
-    shifts = np.kron(np.full((C, C), 1.0 / C), np.eye(p))
+    k = C - 1
+    basis = _sum_zero_basis(C)
+    # products of basis columns a, b per class, for the reduced weights below
+    basis_pairs = (basis[:, :, None] * basis[:, None, :]).reshape(C, k * k)
+    diag = np.diag_indices(k * p)
 
     def evaluate(W, cols):
         V = W[:, 0].reshape(C, p)
@@ -299,17 +322,20 @@ def _newton_multinomial(
         return np.array([f]), G.reshape(C * p, 1), P[:, :, None]
 
     def direction(P, g):
-        H = np.empty((C, p, C, p))
-        for a in range(C):
-            for b in range(a, C):
-                w = P[:, a] * (float(a == b) - P[:, b]) / m
-                block = dense.T @ (dense * w[:, None])
+        # per row, basis^T (diag P_i - P_i P_i^T) basis / m
+        PB = P @ basis
+        weights = (P @ basis_pairs).reshape(m, k, k) - PB[:, :, None] * PB[:, None, :]
+        weights /= m
+        H = np.empty((k, p, k, p))
+        for a in range(k):
+            for b in range(a, k):
+                block = dense.T @ (dense * weights[:, a, b][:, None])
                 H[a, :, b, :] = block
                 H[b, :, a, :] = block.T
-        H = H.reshape(C * p, C * p)
-        H[diag] += np.tile(reg, C)
-        H += (np.trace(H) / (C * p)) * shifts
-        return _solve_psd(H, -g)
+        H = H.reshape(k * p, k * p)
+        H[diag] += np.tile(reg, k)
+        E = _solve_psd(H, -(basis.T @ g.reshape(C, p)).ravel())
+        return (basis @ E.reshape(k, p)).ravel()
 
     return _damped_newton(evaluate, direction, C * p, 1, cfg)
 
@@ -502,11 +528,7 @@ class LinearModel:
 
     def predict_rows(self, X) -> np.ndarray:
         """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
-        X = _as_feature_matrix(X, self.d)
-        bits = np.empty((X.shape[0], self.s), dtype=np.uint8)
-        for rows, X_rows in _row_blocks(X, self.s):
-            bits[rows], _ = decode_rows(self.stat_prob_rows(X_rows), self.s, self.beta)
-        return bits
+        return _predict_by_chunks(self, X)
 
     def predict_scores(self, x) -> StatVec:
         """Scores for a single feature row; -inf marks inactive coordinates."""

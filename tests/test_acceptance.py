@@ -208,6 +208,24 @@ def test_criterion_8_margin_over_binary_relevance(adversarial_run):
     )
 
 
+def test_every_learning_curve_solve_converged(ladder, adversarial_run):
+    # all five ladder sizes and the adversarial run: every subproblem of
+    # every algorithm passed its gradient test
+    rows = [*ladder[0], adversarial_run]
+    assert all(set(r.unconverged) == {"surrogate", "efp", "br"} for r in rows)
+    failed = [
+        f"m={r.m} {algo} {name}"
+        for r in rows
+        for algo, names in r.unconverged.items()
+        for name in names
+    ]
+    _gate(
+        "learning-curve solver convergence",
+        not failed,
+        f"unconverged = {failed or 'none'} over {len(rows)} runs",
+    )
+
+
 def test_criterion_9_reference_dataset_f1():
     # optional end-to-end check on a supplied converted benchmark split
     root = os.environ.get("FBETAMAX_SCENE_DIR")

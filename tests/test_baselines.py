@@ -8,9 +8,9 @@ from scipy import sparse
 from scipy.special import expit
 
 from fbetamax.baselines import BrModel, EfpModel, train_br, train_efp
-from fbetamax.decoding import decode_rows
+from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
-from fbetamax.training import Dataset, TrainConfig
+from fbetamax.training import Dataset, TrainConfig, multinomial_prob_rows
 
 B1 = BetaParam(1.0)
 
@@ -82,6 +82,46 @@ class TestEfpModel:
             assert model.predict(data.features[i]) == LabelVec(
                 tuple(int(b) for b in bits[i])
             )
+
+    @pytest.mark.parametrize("s", [1, 6])
+    def test_chunk_boundaries_match_one_shot_assembly(self, s, monkeypatch):
+        import fbetamax.baselines as baselines_mod
+
+        c = chunk_rows(s)
+        d = 4
+        rng = np.random.default_rng(950 + s)
+        counts = tuple(sorted({1, s}))
+        model = EfpModel(
+            s=s, d=d, beta=B1, counts=counts,
+            zero_weights=rng.normal(size=d + 1),
+            label_weights=rng.normal(size=(s, len(counts) + 1, d + 1)),
+            bias=True, reg_lambda=0.0,
+        )
+        X_all = sparse.random(2 * c + 1, d, density=0.5, format="csr",
+                              random_state=np.random.RandomState(s))
+        # one-shot assembly over all rows; every row's arithmetic is its own
+        expected = np.zeros((X_all.shape[0], s * s + 1))
+        expected[:, 0] = expit(X_all @ model.zero_weights[:d] + model.zero_weights[d])
+        for j in range(1, s + 1):
+            probs = multinomial_prob_rows(model.label_weights[j - 1], X_all)
+            for col, k in enumerate(counts, start=1):
+                expected[:, StatIndex.pair(j, k).flat(s)] = probs[:, col]
+        # record the rows each softmax block scores at once: at most one chunk
+        block_rows = []
+
+        def recording_probs(weights, X, bias=True):
+            block_rows.append(X.shape[0])
+            return multinomial_prob_rows(weights, X, bias)
+
+        monkeypatch.setattr(baselines_mod, "multinomial_prob_rows", recording_probs)
+        for m in (0, 1, c - 1, c, c + 1, 2 * c + 1):
+            X = X_all[:m]
+            got = model.stat_prob_rows(X)
+            np.testing.assert_array_equal(got, expected[:m])
+            bits = model.predict_rows(X)
+            assert bits.shape == (m, s)
+            np.testing.assert_array_equal(bits, decode_rows(got, s, B1)[0])
+        assert max(block_rows) == c
 
     def test_validation_rejects_bad_count_order(self):
         with pytest.raises(ValueError, match="counts"):

@@ -257,6 +257,36 @@ class TestConsistencyCommand:
         assert row.f_regret <= row.regret_bound + 1e-9
         assert row.bound_ok
 
+    def test_rows_carry_convergence_per_algorithm(self):
+        rows = run_consistency(seed=3, sizes=(80, 160), test_size=300, s=3, d=12)
+        for row in rows:
+            assert row.unconverged == {"surrogate": (), "efp": (), "br": ()}
+
+    def test_unconverged_solve_fails_and_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        from functools import partial
+
+        import fbetamax.cli as cli_mod
+        from fbetamax.training import TrainConfig
+
+        # one Newton step cannot reach the default gradient tolerance; a small
+        # task keeps the run short
+        monkeypatch.setattr(cli_mod, "TrainConfig", partial(TrainConfig, max_iters=1))
+        monkeypatch.setattr(
+            cli_mod, "run_consistency", partial(run_consistency, test_size=300, s=3, d=12)
+        )
+        csv_path = tmp_path / "curve.csv"
+        code, stdout, err = _run(
+            capsys, "consistency", "--seed", "0", "--sizes", "60,120",
+            "--out", str(csv_path),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "did not converge" in err
+        assert "m=60 efp tag 1" in err and "m=120 br tag 1" in err
+        assert "no CSV written" in err
+        assert "m=60:" in stdout
+        assert not csv_path.exists()
+
     def test_rejects_bad_sizes(self, tmp_path, capsys):
         code, _, err = _run(
             capsys, "consistency", "--sizes", "10,abc", "--out", str(tmp_path / "c.csv"),

@@ -75,31 +75,34 @@ def newton_logistic(X, a, lam, bias, tol=1e-12, iters=200):
     return wb
 
 
-def newton_multinomial(X, y, C, lam, tol=1e-12, iters=100):
-    """Damped Newton on a softmax block with free biases, dense linear algebra.
+def newton_multinomial(X, y, C, lam, tol=1e-12, iters=100, bias=True):
+    """Damped Newton on a softmax block, biases free when fit, dense linear algebra.
 
-    The Hessian is singular along equal shifts of all biases; the step is
-    the minimum-norm least-squares solution.
+    The Hessian is singular along equal shifts of all classes; the step is
+    the minimum-norm least-squares solution in all C x p coordinates.
+    Returns (C, d+1) weights with the bias last, or (C, d) when bias=False.
     """
     m, d = X.shape
-    Xb = np.hstack([X, np.ones((m, 1))])
+    Xb = np.hstack([X, np.ones((m, 1))]) if bias else X
+    p = Xb.shape[1]
     Y = np.eye(C)[y]
-    pen = np.tile(np.r_[np.full(d, lam), 0.0], C)
+    pen = np.tile(np.r_[np.full(d, lam), np.zeros(p - d)], C)
 
     def objective(flat):
-        Z = Xb @ flat.reshape(C, d + 1).T
+        Z = Xb @ flat.reshape(C, p).T
         return np.mean(logsumexp(Z, axis=1) - Z[np.arange(m), y]) + 0.5 * flat @ (pen * flat)
 
-    flat = np.zeros(C * (d + 1))
+    flat = np.zeros(C * p)
     for _ in range(iters):
-        Z = Xb @ flat.reshape(C, d + 1).T
+        Z = Xb @ flat.reshape(C, p).T
         P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
         g = ((P - Y).T @ Xb / m).ravel() + pen * flat
         if np.max(np.abs(g)) <= tol:
             break
-        H = np.zeros((C * (d + 1), C * (d + 1)))
-        for r in range(m):
-            H += np.kron(np.diag(P[r]) - np.outer(P[r], P[r]), np.outer(Xb[r], Xb[r]))
+        # sum over rows of kron(diag P_r - P_r P_r^T, x_r x_r^T)
+        A = P[:, :, None] * np.eye(C) - P[:, :, None] * P[:, None, :]
+        H = np.tensordot(Xb, A[..., None] * Xb[:, None, None, :], axes=(0, 0))
+        H = H.transpose(1, 0, 2, 3).reshape(C * p, C * p)
         H = H / m + np.diag(pen)
         step = np.linalg.lstsq(H, -g, rcond=None)[0]
         t, f0 = 1.0, objective(flat)
@@ -108,7 +111,7 @@ def newton_multinomial(X, y, C, lam, tol=1e-12, iters=100):
             if t < 1e-12:
                 break
         flat = flat + t * step
-    return flat.reshape(C, d + 1)
+    return flat.reshape(C, p)
 
 
 class TestBinarySolver:
@@ -406,6 +409,54 @@ class TestMultinomial:
         Zr = np.hstack([X, np.ones((m, 1))]) @ ref.T
         P_ref = np.exp(Zr - logsumexp(Zr, axis=1)[:, None])
         np.testing.assert_allclose(P, P_ref, atol=1e-7)
+
+    @staticmethod
+    def _check_against_oracle(X, y, C, cfg):
+        # the oracle solves in all C x p coordinates with min-norm steps; the
+        # solver works in the sum-zero subspace but reports on the full gradient
+        m, d = X.shape
+        data = Dataset(
+            s=1, d=d, features=sparse.csr_matrix(X),
+            labels=tuple(LabelVec((0,)) for _ in range(m)),
+        )
+        fit = train_multinomial(data, y, C, cfg)
+        assert fit.report.converged, fit.report
+        W = fit.weights
+        assert np.abs(W.sum(axis=0)).max() <= 1e-12
+        Z = X @ W[:, :d].T + W[:, d]
+        P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+        R = P.copy()
+        R[np.arange(m), y] -= 1.0
+        R /= m
+        G = (X.T @ R).T + cfg.reg_lambda * W[:, :d]
+        if cfg.bias:
+            G = np.hstack([G, R.sum(axis=0)[:, None]])
+        assert fit.report.grad_norm == pytest.approx(np.abs(G).max(), rel=1e-6, abs=1e-14)
+        ref = newton_multinomial(X, y, C, cfg.reg_lambda, bias=cfg.bias)
+        Zr = (np.hstack([X, np.ones((m, 1))]) if cfg.bias else X) @ ref.T
+        P_ref = np.exp(Zr - logsumexp(Zr, axis=1)[:, None])
+        np.testing.assert_allclose(P, P_ref, atol=1e-7)
+
+    def test_fit_s6_shaped_block_matches_newton_oracle(self):
+        # tag 1 of the benchmark's fit task: C = 7 classes (inactive plus the
+        # six observed counts), p = 100 features, no bias, m = 316, reg 1e-4
+        from fbetamax.synth import build_distribution, sample_batch
+
+        dist = build_distribution(0, s=6, d=100)
+        batch = sample_batch(dist, 316, stream=0)
+        bits = np.array([y.bits for y in batch.labels])
+        y = np.where(bits[:, 0] == 1, bits.sum(axis=1), 0)
+        assert sorted(set(y)) == list(range(7))
+        self._check_against_oracle(
+            batch.features, y, 7, TrainConfig(reg_lambda=1e-4, grad_tol=1e-10, bias=False)
+        )
+
+    def test_small_bias_block_matches_newton_oracle(self):
+        rng = np.random.default_rng(32)
+        m, d, C = 200, 5, 4
+        X = rng.normal(size=(m, d))
+        y = rng.integers(0, C, size=m)
+        self._check_against_oracle(X, y, C, TrainConfig(reg_lambda=0.05))
 
     def test_rejects_bad_class_indices(self):
         rng = np.random.default_rng(4)
