@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth, train, predict, evaluate, consistency, crossval.
+"""Command-line pipeline: synth, train, predict, evaluate, convert, consistency, crossval.
 
 Every command is deterministic given its flags and seed; errors exit with
 status 1 and a one-line diagnostic on stderr.  A train or consistency run in
@@ -264,7 +264,7 @@ def _cmd_predict(args) -> int:
     bits = model.predict_rows(data.features)
     from .fmeasure import LabelVec
 
-    labelings = [LabelVec(tuple(int(b) for b in row)) for row in bits]
+    labelings = [LabelVec(tuple(row)) for row in bits.tolist()]
     dataio.save_predictions(labelings, args.out)
     print(f"wrote {args.out} ({len(labelings)} predictions)")
     return 0
@@ -280,6 +280,12 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(report.CSV_COLUMNS) + "\n" + report.to_csv_row() + "\n")
+    return 0
+
+
+def _cmd_convert(args) -> int:
+    dataio.convert_interchange(args.src, args.dst, zero_based=not args.one_based)
+    print(f"wrote {args.dst}")
     return 0
 
 
@@ -365,6 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--out", default=None, help="also write the report as CSV")
     p.set_defaults(func=_cmd_evaluate)
+
+    p = sub.add_parser("convert", help="convert an interchange dump into a dataset file")
+    p.add_argument("src", help="interchange file: 'num_points num_features num_labels', "
+                               "then one 'label,label idx:val ...' line per point")
+    p.add_argument("dst", help="dataset file to write")
+    p.add_argument("--one-based", action="store_true",
+                   help="label and feature ids in src start at 1 instead of 0")
+    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("consistency", help="learning-curve experiment on synthetic data")
     p.add_argument("--seed", type=int, default=0)

@@ -3,9 +3,17 @@
 All files are UTF-8 with LF newlines.  Floats are written with 17
 significant digits so every round trip reproduces the exact same doubles,
 and therefore bit-identical predictions.
+
+Datasets, sidecars and predictions are read and written one block of
+_BLOCK_ROWS lines at a time, and each block is converted and checked as
+arrays, so temporaries stay O(block) however many rows a file holds.  A
+block that fails any check is parsed again line by line, which names the
+first offending line and token.
 """
 
 from __future__ import annotations
+
+from itertools import compress, islice
 
 import numpy as np
 from scipy import sparse
@@ -34,109 +42,206 @@ _MODEL_MAGIC = "#ml-model v1"
 
 ALGORITHMS = ("surrogate", "efp", "br")
 
+# lines per read or write block
+_BLOCK_ROWS = 1024
+
+# every byte but the ' ' and ':' separators of a feature list
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :")))
+
 
 class DataFormatError(ValueError):
     """A file violated one of the documented format rules."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# same bytes as f"{x:.17g}", and cheap enough to map over whole rows
+_fmt = "%.17g".__mod__
+
+
+def _open_lines(path):
+    """Open a text file whose lines end at LF only; a CR stays part of its line."""
+    return open(path, "r", encoding="utf-8", newline="\n")
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    return text.split("\n")
+    with _open_lines(path) as fh:
+        return fh.read().split("\n")
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a dataset file; malformed content raises with the line number."""
-    lines = _read_lines(path)
-    header = lines[0] if lines else ""
-    parts = header.split()
-    if (
-        len(parts) != 4
-        or " ".join(parts[:2]) != _DATASET_MAGIC
-        or not parts[2].startswith("s=")
-        or not parts[3].startswith("d=")
-    ):
-        raise DataFormatError(f"line 1: expected header '{_DATASET_MAGIC} s=<s> d=<d>'")
-    try:
-        s = int(parts[2][2:])
-        d = int(parts[3][2:])
-    except ValueError:
-        raise DataFormatError("line 1: s and d must be integers") from None
-    if s < 1 or d < 1:
-        raise DataFormatError("line 1: s and d must be >= 1")
+def _parsed_blocks(fh, lineno: int, parse, rescan, *args):
+    """Yield parse(rows, *args) for each block of the remaining lines of fh.
 
-    labels: list[LabelVec] = []
-    indptr = [0]
+    rows are the block's lines, newlines stripped, and lineno is the number
+    of the first.  A block that parse rejects with ValueError or
+    OverflowError goes to rescan(rows, its first line number, *args), which
+    raises at the first bad line with that line's exact message.
+    """
+    while True:
+        rows = [line.rstrip("\n") for line in islice(fh, _BLOCK_ROWS)]
+        if not rows:
+            return
+        try:
+            parsed = parse(rows, *args)
+        except (ValueError, OverflowError):
+            parsed = rescan(rows, lineno, *args)
+        yield parsed
+        lineno += len(rows)
+
+
+def _float_text(rows: np.ndarray) -> str:
+    """One LF-terminated line of space-separated 17-digit floats per row."""
+    return "".join(" ".join(map(_fmt, row)) + "\n" for row in rows.tolist())
+
+
+def _tag_text(bits: np.ndarray) -> list[str]:
+    """Comma-separated 1-based active tags of each 0/1 row."""
+    names = [str(j) for j in range(1, bits.shape[1] + 1)]
+    return [",".join(compress(names, row)) for row in bits.tolist()]
+
+
+def _tag_bits(fields: list[str], s: int) -> np.ndarray:
+    """(len(fields), s) 0/1 rows from comma-separated 1-based tag lists.
+
+    Raises ValueError or OverflowError on any bad or out-of-range tag; the
+    caller then rescans line by line for the exact message.
+    """
+    bits = np.zeros((len(fields), s), dtype=np.uint8)
+    joined = ",".join(filter(None, fields))
+    if joined:
+        tags = np.fromiter(map(int, joined.split(",")), dtype=np.int64)
+        if tags.min() < 1 or tags.max() > s:
+            raise ValueError("tag index out of range")
+        per_row = [field.count(",") + 1 if field else 0 for field in fields]
+        bits[np.repeat(np.arange(len(fields)), per_row), tags - 1] = 1
+    return bits
+
+
+def _labelvecs(bits: np.ndarray) -> list[LabelVec]:
+    """One LabelVec per row, shared by equal rows."""
+    distinct, which = np.unique(bits, axis=0, return_inverse=True)
+    vecs = [LabelVec(tuple(row)) for row in distinct.tolist()]
+    return [vecs[k] for k in which.ravel().tolist()]
+
+
+def _dataset_block(rows: list[str], s: int, d: int):
+    """(bits, nnz per row, 0-based indices, values) of one block of data lines.
+
+    Raises ValueError or OverflowError when any line breaks a format rule.
+    """
+    parts = [row.partition("\t") for row in rows]
+    if not all(tab for _, tab, _ in parts):
+        raise ValueError("a line has no tab")
+    bits = _tag_bits([labels for labels, _, _ in parts], s)
+    feats = [feat for _, _, feat in parts]
+    nnz = np.array([feat.count(" ") + 1 if feat else 0 for feat in feats], dtype=np.intp)
+    n = int(nnz.sum())
+    joined = " ".join(filter(None, feats))
+    # every token is exactly one index:value pair
+    if joined.encode().translate(None, _NOT_SEPARATOR) != (b": " * n)[:-1]:
+        raise ValueError("a feature token has no or several ':'")
+    flat = joined.replace(":", " ").split(" ") if n else []
+    idx = np.fromiter(map(int, flat[0::2]), dtype=np.intp, count=n)
+    vals = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=n)
+    if n and (idx.min() < 1 or idx.max() > d):
+        raise ValueError("feature index out of range")
+    row_of = np.repeat(np.arange(len(rows)), nnz)
+    if not np.all((np.diff(idx) > 0) | (np.diff(row_of) > 0)):
+        raise ValueError("feature indices not strictly increasing")
+    return bits, nnz, idx - 1, vals
+
+
+def _dataset_lines(rows: list[str], lineno: int, s: int, d: int):
+    """_dataset_block parsed line by line, raising at the first bad line and token."""
+    bits = np.zeros((len(rows), s), dtype=np.uint8)
+    nnz = np.zeros(len(rows), dtype=np.intp)
     col_indices: list[int] = []
     values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "" and lineno == len(lines):
-            break  # trailing newline
+    for r, line in enumerate(rows):
+        where = f"line {lineno + r}"
         if "\t" not in line:
-            raise DataFormatError(f"line {lineno}: expected '<labels>\\t<features>'")
+            raise DataFormatError(f"{where}: expected '<labels>\\t<features>'")
         label_part, feat_part = line.split("\t", 1)
-        bits = [0] * s
         if label_part:
             for tok in label_part.split(","):
                 try:
                     j = int(tok)
                 except ValueError:
-                    raise DataFormatError(f"line {lineno}: bad label index {tok!r}") from None
+                    raise DataFormatError(f"{where}: bad label index {tok!r}") from None
                 if not 1 <= j <= s:
-                    raise DataFormatError(f"line {lineno}: label index {j} out of range 1..{s}")
-                bits[j - 1] = 1
-        labels.append(LabelVec(tuple(bits)))
+                    raise DataFormatError(f"{where}: label index {j} out of range 1..{s}")
+                bits[r, j - 1] = 1
         prev = 0
         if feat_part:
             for tok in feat_part.split(" "):
                 if ":" not in tok:
-                    raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}")
+                    raise DataFormatError(f"{where}: bad feature pair {tok!r}")
                 idx_txt, val_txt = tok.split(":", 1)
                 try:
                     idx = int(idx_txt)
                     val = float(val_txt)
                 except ValueError:
-                    raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}") from None
+                    raise DataFormatError(f"{where}: bad feature pair {tok!r}") from None
                 if not 1 <= idx <= d:
-                    raise DataFormatError(
-                        f"line {lineno}: feature index {idx} out of range 1..{d}"
-                    )
+                    raise DataFormatError(f"{where}: feature index {idx} out of range 1..{d}")
                 if idx == prev:
-                    raise DataFormatError(f"line {lineno}: duplicate feature index {idx}")
+                    raise DataFormatError(f"{where}: duplicate feature index {idx}")
                 if idx < prev:
-                    raise DataFormatError(
-                        f"line {lineno}: feature indices must be strictly increasing"
-                    )
+                    raise DataFormatError(f"{where}: feature indices must be strictly increasing")
                 prev = idx
                 col_indices.append(idx - 1)
                 values.append(val)
-        indptr.append(len(col_indices))
-    features = sparse.csr_matrix(
-        (np.array(values, dtype=np.float64),
-         np.array(col_indices, dtype=np.intp),
-         np.array(indptr, dtype=np.intp)),
-        shape=(len(labels), d),
-    )
-    return Dataset(s=s, d=d, features=features, labels=tuple(labels))
+                nnz[r] += 1
+    return (bits, nnz, np.array(col_indices, dtype=np.intp),
+            np.array(values, dtype=np.float64))
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a dataset file; malformed content raises with the line number."""
+    with _open_lines(path) as fh:
+        parts = fh.readline().split()
+        if (
+            len(parts) != 4
+            or " ".join(parts[:2]) != _DATASET_MAGIC
+            or not parts[2].startswith("s=")
+            or not parts[3].startswith("d=")
+        ):
+            raise DataFormatError(f"line 1: expected header '{_DATASET_MAGIC} s=<s> d=<d>'")
+        try:
+            s = int(parts[2][2:])
+            d = int(parts[3][2:])
+        except ValueError:
+            raise DataFormatError("line 1: s and d must be integers") from None
+        if s < 1 or d < 1:
+            raise DataFormatError("line 1: s and d must be >= 1")
+
+        pieces = [(np.zeros((0, s), dtype=np.uint8), np.zeros(0, dtype=np.intp),
+                   np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float64))]
+        pieces.extend(_parsed_blocks(fh, 2, _dataset_block, _dataset_lines, s, d))
+    bits, nnz, col_indices, values = (np.concatenate(arrays) for arrays in zip(*pieces))
+    del pieces
+    indptr = np.zeros(len(nnz) + 1, dtype=np.intp)
+    np.cumsum(nnz, out=indptr[1:])
+    features = sparse.csr_matrix((values, col_indices, indptr), shape=(len(nnz), d))
+    return Dataset(s=s, d=d, features=features, labels=tuple(_labelvecs(bits)))
 
 
 def save_dataset(data: Dataset, path) -> None:
     """Write a dataset file that load_dataset will reproduce exactly."""
+    # Dataset keeps its features in canonical CSR form, so each row's
+    # entries are already in the strictly increasing order the format needs
     feats = data.features
-    out = [f"{_DATASET_MAGIC} s={data.s} d={data.d}"]
-    for i, y in enumerate(data.labels):
-        row = feats.getrow(i)
-        order = np.argsort(row.indices, kind="stable")
-        pairs = " ".join(
-            f"{row.indices[o] + 1}:{_fmt(row.data[o])}" for o in order
-        )
-        out.append(f"{','.join(str(j) for j in y.active_tags())}\t{pairs}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(f"{_DATASET_MAGIC} s={data.s} d={data.d}\n")
+        for lo in range(0, data.m, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, data.m)
+            ptr = feats.indptr[lo:hi + 1]
+            entries = slice(ptr[0], ptr[-1])
+            tokens = list(map("%d:%.17g".__mod__, zip(
+                (feats.indices[entries] + 1).tolist(), feats.data[entries].tolist())))
+            ends = (ptr - ptr[0]).tolist()
+            fh.write("".join(
+                f"{labels}\t{' '.join(tokens[a:b])}\n"
+                for labels, a, b in zip(_tag_text(data.bits[lo:hi]), ends, ends[1:])
+            ))
 
 
 def save_stat_probs(prob_rows: np.ndarray, s: int, path) -> None:
@@ -144,64 +249,89 @@ def save_stat_probs(prob_rows: np.ndarray, s: int, path) -> None:
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     if prob_rows.ndim != 2 or prob_rows.shape[1] != s * s + 1:
         raise ValueError(f"expected shape (m, {s * s + 1})")
-    out = [f"{_SIDE_MAGIC} s={s}"]
-    for row in prob_rows:
-        out.append(" ".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(f"{_SIDE_MAGIC} s={s}\n")
+        for lo in range(0, len(prob_rows), _BLOCK_ROWS):
+            fh.write(_float_text(prob_rows[lo:lo + _BLOCK_ROWS]))
 
 
-def load_stat_probs(path) -> np.ndarray:
-    lines = _read_lines(path)
-    parts = lines[0].split() if lines else []
-    if len(parts) != 3 or " ".join(parts[:2]) != _SIDE_MAGIC or not parts[2].startswith("s="):
-        raise DataFormatError(f"line 1: expected header '{_SIDE_MAGIC} s=<s>'")
-    try:
-        s = int(parts[2][2:])
-    except ValueError:
-        raise DataFormatError("line 1: s must be an integer") from None
-    width = s * s + 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "" and lineno == len(lines):
-            break
+def _stat_prob_block(rows: list[str], width: int) -> np.ndarray:
+    """(len(rows), width) finite floats; ValueError when any line breaks a rule."""
+    if any(row.count(" ") != width - 1 for row in rows):
+        raise ValueError("a line has the wrong number of values")
+    vals = np.fromiter(map(float, " ".join(rows).split(" ")), dtype=np.float64,
+                       count=len(rows) * width)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("a value is not finite")
+    return vals.reshape(len(rows), width)
+
+
+def _stat_prob_lines(rows: list[str], lineno: int, width: int) -> np.ndarray:
+    """_stat_prob_block parsed line by line, raising at the first bad line."""
+    out = []
+    for r, line in enumerate(rows):
         vals = line.split(" ")
         if len(vals) != width:
-            raise DataFormatError(f"line {lineno}: expected {width} values")
+            raise DataFormatError(f"line {lineno + r}: expected {width} values")
         try:
             row = [float(v) for v in vals]
         except ValueError:
-            raise DataFormatError(f"line {lineno}: bad float") from None
+            raise DataFormatError(f"line {lineno + r}: bad float") from None
         if not all(np.isfinite(row)):
-            raise DataFormatError(f"line {lineno}: values must be finite")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+            raise DataFormatError(f"line {lineno + r}: values must be finite")
+        out.append(row)
+    return np.array(out, dtype=np.float64).reshape(len(rows), width)
+
+
+def load_stat_probs(path) -> np.ndarray:
+    """Read a sidecar as an (m, s*s + 1) array; malformed content raises with the line number."""
+    with _open_lines(path) as fh:
+        parts = fh.readline().split()
+        if len(parts) != 3 or " ".join(parts[:2]) != _SIDE_MAGIC or not parts[2].startswith("s="):
+            raise DataFormatError(f"line 1: expected header '{_SIDE_MAGIC} s=<s>'")
+        try:
+            s = int(parts[2][2:])
+        except ValueError:
+            raise DataFormatError("line 1: s must be an integer") from None
+        if s < 1:
+            raise DataFormatError("line 1: s must be >= 1")
+        width = s * s + 1
+        blocks = [np.zeros((0, width), dtype=np.float64)]
+        blocks.extend(_parsed_blocks(fh, 2, _stat_prob_block, _stat_prob_lines, width))
+    return np.concatenate(blocks)
 
 
 def save_predictions(labelings, path) -> None:
     """One labeling per line as comma-separated 1-based active tags."""
-    out = []
-    for y in labelings:
-        out.append(",".join(str(j) for j in y.active_tags()))
+    bits = np.array([y.bits for y in labelings], dtype=np.uint8)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n" if out else "")
+        for lo in range(0, len(bits), _BLOCK_ROWS):
+            fh.write("".join(line + "\n" for line in _tag_text(bits[lo:lo + _BLOCK_ROWS])))
+
+
+def _prediction_lines(rows: list[str], lineno: int, s: int) -> np.ndarray:
+    """_tag_bits parsed line by line, raising at the first bad line."""
+    bits = np.zeros((len(rows), s), dtype=np.uint8)
+    for r, line in enumerate(rows):
+        if not line:
+            continue
+        try:
+            tags = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise DataFormatError(f"line {lineno + r}: bad label index") from None
+        for j in tags:
+            if not 1 <= j <= s:
+                raise DataFormatError(f"line {lineno + r}: tag index {j} out of range 1..{s}")
+            bits[r, j - 1] = 1
+    return bits
 
 
 def load_predictions(path, s: int) -> list[LabelVec]:
-    lines = _read_lines(path)
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        if line == "" and lineno == len(lines):
-            break
-        if line:
-            try:
-                tags = [int(tok) for tok in line.split(",")]
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: bad label index") from None
-            out.append(LabelVec.from_active(tags, s))
-        else:
-            out.append(LabelVec.zeros(s))
-    return out
+    """Read one labeling per line; a bad or out-of-range tag raises with the line number."""
+    blocks = [np.zeros((0, s), dtype=np.uint8)]
+    with _open_lines(path) as fh:
+        blocks.extend(_parsed_blocks(fh, 1, _tag_bits, _prediction_lines, s))
+    return _labelvecs(np.concatenate(blocks))
 
 
 def _header_lines(algo: str, s: int, d: int, beta: float, bias: bool, reg: float,
@@ -227,26 +357,24 @@ def save_model(model, path) -> None:
             "surrogate", model.s, model.d, model.beta.beta, model.bias,
             model.reg_lambda, counts, len(model.active_indices),
         )
-        rows = [model.weights[i] for i in range(model.weights.shape[0])]
+        rows = model.weights
     elif isinstance(model, EfpModel):
         header = _header_lines(
             "efp", model.s, model.d, model.beta.beta, model.bias,
             model.reg_lambda, model.counts,
             1 + model.s * (1 + len(model.counts)),
         )
-        rows = [model.zero_weights]
-        for j in range(model.s):
-            rows.extend(model.label_weights[j])
+        rows = np.vstack([model.zero_weights,
+                          model.label_weights.reshape(-1, model.label_weights.shape[-1])])
     elif isinstance(model, BrModel):
         header = _header_lines(
             "br", model.s, model.d, 1.0, model.bias, model.reg_lambda, (), model.s,
         )
-        rows = [model.weights[j] for j in range(model.s)]
+        rows = model.weights
     else:
         raise ValueError(f"cannot serialize a {type(model).__name__}")
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(header + body) + "\n")
+        fh.write("".join(line + "\n" for line in header) + _float_text(rows))
 
 
 def _parse_model_header(lines: list[str]) -> dict:
@@ -293,7 +421,9 @@ def load_model(path, expected_algo: str | None = None):
         )
     width = fields["d"] + 1
     try:
-        rows = np.array([[float(v) for v in line.split(" ")] for line in body])
+        # rows of unequal length make np.array raise, as a bad float does
+        rows = np.array([np.fromiter(map(float, line.split(" ")), dtype=np.float64)
+                         for line in body])
     except ValueError:
         raise DataFormatError("bad float in model body") from None
     if rows.shape != (fields["vectors"], width):

@@ -43,7 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """A multi-label sample: sparse features plus one labeling per row."""
+    """A multi-label sample: sparse features plus one labeling per row.
+
+    The features are stored in canonical CSR form: each row's indices
+    strictly increasing, with repeated entries summed.
+    """
 
     s: int
     d: int
@@ -60,7 +64,12 @@ class Dataset:
             )
         if any(y.s != self.s for y in self.labels):
             raise ValueError("every labeling must cover all s tags")
+        if not feats.has_canonical_format:
+            # sorted, duplicate-free rows; a copy, since feats may share the caller's arrays
+            feats = feats.copy()
+            feats.sum_duplicates()
         if not np.all(np.isfinite(feats.data)):
+            # after summing, so repeated finite entries cannot overflow to inf unchecked
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -142,6 +142,31 @@ class TestPipeline:
         assert stdout.count("subproblem") == 10
 
 
+class TestConvert:
+    def test_zero_and_one_based_dumps(self, tmp_path, capsys):
+        src = tmp_path / "dump.txt"
+        src.write_text("2 3 2\n0,1 0:0.5 2:1.5\n1 1:2\n")
+        dst = tmp_path / "out.mlsparse"
+        code, out, _ = _run(capsys, "convert", str(src), str(dst))
+        assert code == 0 and out == f"wrote {dst}\n"
+        assert dst.read_text() == "#ml-sparse v1 s=2 d=3\n1,2\t1:0.5 3:1.5\n2\t2:2\n"
+        src.write_text("1 3 2\n2 3:4\n")
+        code, _, _ = _run(capsys, "convert", str(src), str(dst), "--one-based")
+        assert code == 0
+        data = load_dataset(dst)
+        assert [y.bits for y in data.labels] == [(0, 1)]
+        np.testing.assert_array_equal(data.features.toarray(), [[0, 0, 4]])
+
+    def test_malformed_dump_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "dump.txt"
+        src.write_text("2 3 2\n0 0:0.5\n")
+        dst = tmp_path / "out.mlsparse"
+        code, _, err = _run(capsys, "convert", str(src), str(dst))
+        assert code == 1
+        assert err == "error: line 3: header declares 2 points, file holds 1\n"
+        assert not dst.exists()
+
+
 class TestErrorPaths:
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = _run(
