@@ -13,6 +13,7 @@ from .evaluation import (
     check_regret_bound,
     cross_validate,
     evaluate,
+    evaluate_bits,
     regret_transfer_bound,
     surrogate_regret_estimate,
 )
@@ -28,14 +29,7 @@ from .fmeasure import (
     precision,
     recall,
 )
-from .losses import (
-    LOGISTIC,
-    BinaryLossSpec,
-    logistic_loss,
-    logit_link,
-    pointwise_binary_regret,
-    sigmoid,
-)
+from .losses import logistic_loss, logit_link, pointwise_binary_regret, sigmoid
 from .surrogate import SurrogateConfig, binary_targets, surrogate_gradient, surrogate_loss
 from .synth import build_distribution, sample_batch, sample_point
 from .training import (

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .fmeasure import BetaParam, LabelVec, StatIndex
+from .fmeasure import BetaParam, StatIndex
 from .training import (
     Dataset,
     SubproblemReport,
@@ -106,10 +106,6 @@ class EfpModel:
         """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
         return _predict_by_chunks(self, X)
 
-    def predict(self, x) -> LabelVec:
-        bits = self.predict_rows(x)
-        return LabelVec(tuple(int(b) for b in bits[0]))
-
 
 def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
     """Fit the count-stratified baseline on the observed counts of the sample."""
@@ -178,10 +174,6 @@ class BrModel:
 
     def predict_rows(self, X) -> np.ndarray:
         return (self.score_rows(X) >= 0.0).astype(np.uint8)
-
-    def predict(self, x) -> LabelVec:
-        bits = self.predict_rows(x)
-        return LabelVec(tuple(int(b) for b in bits[0]))
 
 
 def train_br(data: Dataset, cfg: TrainConfig) -> BrModel:

@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, train, predict, evaluate, convert, consistency, crossval.
 
 Every command is deterministic given its flags and seed; errors exit with
-status 1 and a one-line diagnostic on stderr.  A train or consistency run in
-which any subproblem misses its gradient tolerance is an error and writes no
-model or CSV.
+status 1 and a one-line diagnostic on stderr.  A train, crossval or
+consistency run in which any subproblem misses its gradient tolerance is an
+error: it writes no model, chooses no reg, or writes no CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy import sparse
 from . import dataio, evaluation
 from .baselines import train_br, train_efp
 from .decoding import decode_rows
-from .fmeasure import BetaParam
+from .fmeasure import BetaParam, labelvec_rows
 from .surrogate import SurrogateConfig
 from .synth import build_distribution, sample_batch
 from .training import Dataset, TrainConfig, train_surrogate
@@ -96,7 +96,6 @@ def run_consistency(
     dist = build_distribution(seed, s=s, d=d, support=support)
     test = sample_batch(dist, test_size, stream=1)
     test_X = sparse.csr_matrix(test.features)
-    true_bits = np.array([y.bits for y in test.labels], dtype=np.int64)
     f1_bayes = evaluation.bayes_f(test.stat_probs, s, beta)
     train_all = sample_batch(dist, max(sizes), stream=0)
     cfg = TrainConfig(reg_lambda=reg_lambda, bias=False)
@@ -106,15 +105,13 @@ def run_consistency(
             s=s,
             d=d,
             features=sparse.csr_matrix(train_all.features[:m]),
-            labels=train_all.labels[:m],
+            labels=train_all.bits[:m],
         )
-        scfg = SurrogateConfig.for_counts(s, sorted(sub.observed_counts), beta)
-        model = train_surrogate(sub, cfg, scfg)
-        efp = train_efp(sub, cfg, beta)
-        br = train_br(sub, cfg)
+        fits = {algo: _fit(algo, sub, cfg, beta) for algo in ("surrogate", "efp", "br")}
+        model, efp, br = fits.values()
         unconverged = {
             algo: tuple(rep.name for rep in fit.reports if not rep.converged)
-            for algo, fit in (("surrogate", model), ("efp", efp), ("br", br))
+            for algo, fit in fits.items()
         }
 
         probs_surr = model.stat_prob_rows(test_X)
@@ -129,9 +126,9 @@ def run_consistency(
         rows.append(
             ConsistencyRow(
                 m=m,
-                f1_surrogate=evaluation.evaluate_bits(bits_surr, true_bits, beta).mean_f,
-                f1_efp=evaluation.evaluate_bits(bits_efp, true_bits, beta).mean_f,
-                f1_br=evaluation.evaluate_bits(bits_br, true_bits, beta).mean_f,
+                f1_surrogate=evaluation.evaluate_bits(bits_surr, test.bits, beta).mean_f,
+                f1_efp=evaluation.evaluate_bits(bits_efp, test.bits, beta).mean_f,
+                f1_br=evaluation.evaluate_bits(bits_br, test.bits, beta).mean_f,
                 f1_bayes=f1_bayes,
                 psi_regret=psi_regret,
                 regret_bound=bound,
@@ -146,19 +143,23 @@ def run_consistency(
     return rows
 
 
-def check_converged(rows) -> None:
-    """Raise ValueError naming size, algorithm and subproblem of every unconverged solve."""
-    unconverged = [
-        f"m={row.m} {algo} {name}"
-        for row in rows
-        for algo, names in row.unconverged.items()
-        for name in names
-    ]
+def check_converged(unconverged: list[str], outcome: str) -> None:
+    """Raise ValueError naming every unconverged subproblem; outcome says what was not written."""
     if unconverged:
         raise ValueError(
             f"{len(unconverged)} subproblem(s) did not converge: "
-            f"{', '.join(unconverged)}; no CSV written"
+            f"{', '.join(unconverged)}; {outcome}"
         )
+
+
+def _fit(algo: str, data: Dataset, cfg: TrainConfig, beta: BetaParam, full_k: bool = False):
+    """Train one algorithm; the surrogate models the observed counts, or every count with full_k."""
+    if algo == "efp":
+        return train_efp(data, cfg, beta)
+    if algo == "br":
+        return train_br(data, cfg)
+    counts = range(1, data.s + 1) if full_k else data.observed_counts
+    return train_surrogate(data, cfg, SurrogateConfig.for_counts(data.s, counts, beta))
 
 
 def _write_consistency_csv(rows, path) -> None:
@@ -232,25 +233,9 @@ def _cmd_train(args) -> int:
     data = dataio.load_dataset(args.input)
     beta = BetaParam(args.beta)
     cfg = TrainConfig(reg_lambda=args.reg, bias=not args.no_bias)
-    if args.algo == "surrogate":
-        if args.full_k:
-            scfg = SurrogateConfig.full(data.s, beta)
-        else:
-            scfg = SurrogateConfig.for_counts(
-                data.s, sorted(data.observed_counts), beta
-            )
-        model = train_surrogate(data, cfg, scfg)
-    elif args.algo == "efp":
-        model = train_efp(data, cfg, beta)
-    else:
-        model = train_br(data, cfg)
+    model = _fit(args.algo, data, cfg, beta, args.full_k)
     _print_reports(model.reports)
-    unconverged = [rep.name for rep in model.reports if not rep.converged]
-    if unconverged:
-        raise ValueError(
-            f"{len(unconverged)} subproblem(s) did not converge: "
-            f"{', '.join(unconverged)}; no model written"
-        )
+    check_converged([rep.name for rep in model.reports if not rep.converged], "no model written")
     dataio.save_model(model, args.model_out)
     print(f"wrote {args.model_out}")
     return 0
@@ -261,10 +246,7 @@ def _cmd_predict(args) -> int:
     data = dataio.load_dataset(args.input)
     if data.d != model.d or data.s != model.s:
         raise ValueError("model and dataset disagree on dimensions")
-    bits = model.predict_rows(data.features)
-    from .fmeasure import LabelVec
-
-    labelings = [LabelVec(tuple(row)) for row in bits.tolist()]
+    labelings = labelvec_rows(model.predict_rows(data.features))
     dataio.save_predictions(labelings, args.out)
     print(f"wrote {args.out} ({len(labelings)} predictions)")
     return 0
@@ -275,7 +257,7 @@ def _cmd_evaluate(args) -> int:
     pred = dataio.load_predictions(args.pred, data.s)
     if len(pred) != data.m:
         raise ValueError(f"{len(pred)} predictions for {data.m} instances")
-    report = evaluation.evaluate(pred, data.labels, BetaParam(args.beta))
+    report = evaluation.evaluate(pred, data.bits, BetaParam(args.beta))
     print(report.to_kv())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -296,9 +278,15 @@ def _cmd_consistency(args) -> int:
         print(
             f"m={row.m}: f1_surrogate={row.f1_surrogate:.4f} f1_efp={row.f1_efp:.4f} "
             f"f1_br={row.f1_br:.4f} f1_bayes={row.f1_bayes:.4f} "
-            f"psi_regret={row.psi_regret:.5f} bound_ok={int(row.bound_ok)}"
+            f"psi_regret={row.psi_regret:.5f} bound_ok={int(row.bound_ok)} "
+            f"mae_surrogate={row.mae_surrogate:.4f} mae_efp={row.mae_efp:.4f}"
         )
-    check_converged(rows)
+    check_converged([
+        f"m={row.m} {algo} {name}"
+        for row in rows
+        for algo, names in row.unconverged.items()
+        for name in names
+    ], "no CSV written")
     _write_consistency_csv(rows, args.out)
     last = rows[-1]
     print(f"final gap (f1_bayes - f1_surrogate) at m={last.m}: "
@@ -311,21 +299,25 @@ def _cmd_crossval(args) -> int:
     data = dataio.load_dataset(args.input)
     beta = BetaParam(args.beta)
     grid = _parse_grid(args.grid)
+    reports = []
 
     def fit(sub: Dataset, reg: float):
-        cfg = TrainConfig(reg_lambda=reg)
-        if args.algo == "surrogate":
-            scfg = SurrogateConfig.for_counts(sub.s, sorted(sub.observed_counts), beta)
-            return train_surrogate(sub, cfg, scfg)
-        if args.algo == "efp":
-            return train_efp(sub, cfg, beta)
-        return train_br(sub, cfg)
+        model = _fit(args.algo, sub, TrainConfig(reg_lambda=reg), beta)
+        reports.append(model.reports)
+        return model
 
     best, rows = evaluation.cross_validate(
         data, fit, grid, folds=args.folds, beta=beta, seed=args.seed
     )
     for reg, fold, mean_f in rows:
         print(f"reg={reg:.6g} fold={fold} f={mean_f:.6f}")
+    # cross_validate fits once per (reg, fold) row, in row order
+    check_converged([
+        f"reg={reg:.6g} fold={fold} {rep.name}"
+        for (reg, fold, _), fold_reports in zip(rows, reports)
+        for rep in fold_reports
+        if not rep.converged
+    ], "no reg chosen")
     print(f"chosen reg={best:.6g}")
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .baselines import BrModel, EfpModel
-from .fmeasure import BetaParam, LabelVec, StatIndex
+from .fmeasure import BetaParam, LabelVec, labelvec_rows
 from .training import Dataset, LinearModel
 from .surrogate import SurrogateConfig
 
@@ -113,13 +113,6 @@ def _tag_bits(fields: list[str], s: int) -> np.ndarray:
         per_row = [field.count(",") + 1 if field else 0 for field in fields]
         bits[np.repeat(np.arange(len(fields)), per_row), tags - 1] = 1
     return bits
-
-
-def _labelvecs(bits: np.ndarray) -> list[LabelVec]:
-    """One LabelVec per row, shared by equal rows."""
-    distinct, which = np.unique(bits, axis=0, return_inverse=True)
-    vecs = [LabelVec(tuple(row)) for row in distinct.tolist()]
-    return [vecs[k] for k in which.ravel().tolist()]
 
 
 def _dataset_block(rows: list[str], s: int, d: int):
@@ -221,7 +214,7 @@ def load_dataset(path) -> Dataset:
     indptr = np.zeros(len(nnz) + 1, dtype=np.intp)
     np.cumsum(nnz, out=indptr[1:])
     features = sparse.csr_matrix((values, col_indices, indptr), shape=(len(nnz), d))
-    return Dataset(s=s, d=d, features=features, labels=tuple(_labelvecs(bits)))
+    return Dataset(s=s, d=d, features=features, labels=bits)
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -331,7 +324,7 @@ def load_predictions(path, s: int) -> list[LabelVec]:
     blocks = [np.zeros((0, s), dtype=np.uint8)]
     with _open_lines(path) as fh:
         blocks.extend(_parsed_blocks(fh, 1, _tag_bits, _prediction_lines, s))
-    return _labelvecs(np.concatenate(blocks))
+    return labelvec_rows(np.concatenate(blocks))
 
 
 def _header_lines(algo: str, s: int, d: int, beta: float, bias: bool, reg: float,

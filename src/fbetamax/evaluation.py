@@ -9,7 +9,7 @@ import numpy as np
 
 from .decoding import decode_rows
 from .fmeasure import BetaParam, LabelVec, loss_coeffs_matrix
-from .losses import LOGISTIC, BinaryLossSpec, pointwise_binary_regret
+from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
 
 __all__ = [
@@ -139,8 +139,12 @@ def evaluate_bits(pred_bits: np.ndarray, true_bits: np.ndarray, beta: BetaParam)
     )
 
 
-def evaluate(pred: Sequence[LabelVec], truth: Sequence[LabelVec], beta: BetaParam) -> EvalReport:
-    """Instance-averaged F-beta, precision, and recall of predicted labelings."""
+def evaluate(pred: Sequence[LabelVec] | np.ndarray, truth: Sequence[LabelVec] | np.ndarray,
+             beta: BetaParam) -> EvalReport:
+    """Instance-averaged F-beta, precision, and recall of predicted labelings.
+
+    Each side is a sequence of LabelVec or an (m, s) bit matrix.
+    """
     if len(pred) != len(truth):
         raise ValueError("prediction and truth counts differ")
     if len(truth) == 0:
@@ -172,8 +176,7 @@ def exact_f_regret(prob_rows: np.ndarray, pred_bits: np.ndarray, s: int,
     return bayes_f(prob_rows, s, beta) - mean_expected_f(prob_rows, pred_bits, beta)
 
 
-def surrogate_regret_estimate(model, X, prob_rows: np.ndarray,
-                              spec: BinaryLossSpec = LOGISTIC) -> float:
+def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     """Mean over points of the summed per-coordinate pointwise regrets.
 
     The model supplies scores at its active coordinates; the true means at
@@ -185,31 +188,27 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray,
     q_active = prob_rows[:, model.active_flats]
     if scores.shape != q_active.shape:
         raise ValueError("score and mean shapes differ")
-    per_point = pointwise_binary_regret(q_active, scores, spec).sum(axis=1)
+    per_point = pointwise_binary_regret(q_active, scores).sum(axis=1)
     return float(np.mean(per_point))
 
 
-def regret_transfer_bound(psi_regret: float, s: int, beta: BetaParam,
-                          strong_properness: float = 4.0) -> float:
+def regret_transfer_bound(psi_regret: float, s: int, beta: BetaParam) -> float:
     """((1+beta^2)/beta) * sqrt(2 (ln s + 1) / lambda * psi_regret).
 
     Any decoder output whose surrogate regret is psi_regret has F-beta
-    regret at most this value, where lambda is the strong properness
-    modulus of the binary loss.
+    regret at most this value, where lambda = STRONG_PROPERNESS is the
+    strong properness modulus of the logistic loss.
     """
     if psi_regret < 0.0:
         psi_regret = 0.0
-    if strong_properness <= 0.0:
-        raise ValueError("strong properness modulus must be positive")
     scale = (1.0 + beta.beta_sq) / beta.beta
-    return scale * np.sqrt(2.0 * (np.log(s) + 1.0) / strong_properness * psi_regret)
+    return scale * np.sqrt(2.0 * (np.log(s) + 1.0) / STRONG_PROPERNESS * psi_regret)
 
 
 def check_regret_bound(f_regret: float, psi_regret: float, s: int, beta: BetaParam,
-                       strong_properness: float = 4.0, slack: float = 1e-9,
-                       ) -> tuple[float, bool]:
+                       slack: float = 1e-9) -> tuple[float, bool]:
     """Evaluate the transfer bound and whether the measured F-regret obeys it."""
-    bound = regret_transfer_bound(psi_regret, s, beta, strong_properness)
+    bound = regret_transfer_bound(psi_regret, s, beta)
     return bound, bool(f_regret <= bound + slack)
 
 
@@ -220,12 +219,7 @@ def _fold_slices(m: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(
-        s=data.s,
-        d=data.d,
-        features=data.features[rows],
-        labels=tuple(data.labels[i] for i in rows),
-    )
+    return Dataset(s=data.s, d=data.d, features=data.features[rows], labels=data.bits[rows])
 
 
 def cross_validate(
@@ -260,8 +254,7 @@ def cross_validate(
             train_rows = np.setdiff1d(all_rows, val_rows)
             model = fit(_subset(data, train_rows), reg)
             pred = model.predict_rows(data.features[val_rows])
-            truth = np.array([data.labels[i].bits for i in val_rows], dtype=np.int64)
-            mean_f = evaluate_bits(pred, truth, beta).mean_f
+            mean_f = evaluate_bits(pred, data.bits[val_rows], beta).mean_f
             scores.append(mean_f)
             rows_out.append((reg, fold_id, mean_f))
         mean_over_folds = float(np.mean(scores))

@@ -27,6 +27,7 @@ __all__ = [
     "iter_stat_indices",
     "label_stats",
     "label_stats_matrix",
+    "labelvec_rows",
     "loss_coeffs",
     "loss_coeffs_matrix",
     "precision",
@@ -74,9 +75,6 @@ class LabelVec:
     def active_tags(self) -> tuple[int, ...]:
         """1-based indices of the active tags, ascending."""
         return tuple(j for j, b in enumerate(self.bits, start=1) if b)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
 
     @classmethod
     def zeros(cls, s: int) -> "LabelVec":
@@ -298,6 +296,18 @@ def all_labelings(s: int) -> np.ndarray:
         raise ValueError("refusing to enumerate more than 2^24 labelings")
     codes = np.arange(1 << s, dtype=np.int64)
     return ((codes[:, None] >> np.arange(s)[None, :]) & 1).astype(np.uint8)
+
+
+def labelvec_rows(bits: np.ndarray) -> list[LabelVec]:
+    """One LabelVec per row of an (m, s) bit matrix, shared by equal rows."""
+    bits = np.asarray(bits)
+    shared: dict[tuple[int, ...], LabelVec] = {}
+    out = []
+    # rows become Python tuples one block at a time, so those temporaries stay O(block)
+    for lo in range(0, len(bits), 1024):
+        out.extend(shared.get(row) or shared.setdefault(row, LabelVec(row))
+                   for row in map(tuple, bits[lo:lo + 1024].tolist()))
+    return out
 
 
 def label_stats_matrix(bits: np.ndarray) -> np.ndarray:

@@ -1,24 +1,19 @@
-"""Strictly proper binary losses, their links, and pointwise regrets.
+"""The logistic loss, its logit link, and its pointwise regret.
 
-A binary class-probability loss here is a margin loss phi(y, u) with
-y in {+1, -1} together with an invertible link gamma so that the expected
-loss under P(y=+1) = q is minimized at u = gamma(q).  Only the logistic
-instance ships, but everything downstream goes through a BinaryLossSpec
-so another strictly proper loss can be dropped in.
+The logistic loss is a margin loss phi(y, u) with y in {+1, -1} whose
+expected value under P(y=+1) = q is minimized at u = logit(q).  It is the
+binary loss of every subproblem, and its strong properness modulus
+STRONG_PROPERNESS sets the regret transfer bound.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "LOGISTIC",
     "PROB_CLIP",
-    "BinaryLossSpec",
+    "STRONG_PROPERNESS",
     "logistic_gradient",
     "logistic_loss",
     "logit_link",
@@ -28,6 +23,9 @@ __all__ = [
 
 # probabilities are clipped into [PROB_CLIP, 1 - PROB_CLIP] before the link
 PROB_CLIP = 1e-12
+
+# the modulus lambda in pointwise regret >= (lambda / 2) * (sigmoid(u) - q)^2
+STRONG_PROPERNESS = 4.0
 
 
 def _check_margin_inputs(y, u) -> tuple[np.ndarray, np.ndarray]:
@@ -72,45 +70,17 @@ def logit_link(p):
     return val.item() if val.ndim == 0 else val
 
 
-@dataclass(frozen=True)
-class BinaryLossSpec:
-    """A strictly proper composite binary loss.
-
-    strong_properness is the modulus lambda in
-    pointwise regret >= (lambda / 2) * (inverse_link(u) - q)^2; it feeds the
-    regret transfer bound and is 4 for the logistic loss.
-    """
-
-    name: str
-    loss: Callable
-    gradient: Callable
-    link: Callable
-    inverse_link: Callable
-    strong_properness: float | None = None
-
-
-LOGISTIC = BinaryLossSpec(
-    name="logistic",
-    loss=logistic_loss,
-    gradient=logistic_gradient,
-    link=logit_link,
-    inverse_link=sigmoid,
-    strong_properness=4.0,
-)
-
-
-def pointwise_binary_regret(q, u, spec: BinaryLossSpec = LOGISTIC):
+def pointwise_binary_regret(q, u):
     """Excess expected loss of score u at class-1 probability q.
 
-    q * (phi(+1,u) - phi(+1,gamma(q))) + (1-q) * (phi(-1,u) - phi(-1,gamma(q))).
-    For the logistic loss this is the KL divergence from Bernoulli(q) to
-    Bernoulli(sigmoid(u)).  Non-negative up to clipping effects of order
-    PROB_CLIP at the boundary.
+    q * (phi(+1,u) - phi(+1,logit(q))) + (1-q) * (phi(-1,u) - phi(-1,logit(q))),
+    the KL divergence from Bernoulli(q) to Bernoulli(sigmoid(u)).
+    Non-negative up to clipping effects of order PROB_CLIP at the boundary.
     """
     q = np.asarray(q, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    best = spec.link(q)
-    val = q * (spec.loss(1.0, u) - spec.loss(1.0, best)) + (1.0 - q) * (
-        spec.loss(-1.0, u) - spec.loss(-1.0, best)
+    best = logit_link(q)
+    val = q * (logistic_loss(1.0, u) - logistic_loss(1.0, best)) + (1.0 - q) * (
+        logistic_loss(-1.0, u) - logistic_loss(-1.0, best)
     )
     return val.item() if np.ndim(val) == 0 else val

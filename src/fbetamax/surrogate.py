@@ -3,21 +3,21 @@
 Each statistic coordinate contributes one binary class-probability problem:
 the coordinate's 0/1 value acts as the binary label and the corresponding
 score entry as the prediction.  The surrogate of a (labeling, score vector)
-pair is the sum of the per-coordinate losses over the configured active
-coordinates, so minimizing it trains independent binary estimators whose
-link-inverted scores converge to the statistics' conditional means.
+pair is the sum of the per-coordinate logistic losses over the configured
+active coordinates, so minimizing it trains independent binary estimators
+whose sigmoid-inverted scores converge to the statistics' conditional means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .fmeasure import BetaParam, LabelVec, StatIndex, StatVec, iter_stat_indices
-from .losses import LOGISTIC, BinaryLossSpec
+from .fmeasure import BetaParam, LabelVec, StatIndex, StatVec, label_stats, label_stats_matrix
+from .losses import logistic_gradient, logistic_loss
 
 __all__ = [
     "SurrogateConfig",
@@ -29,57 +29,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurrogateConfig:
-    """Which statistic coordinates are modelled, and with which binary loss.
+    """Which statistic coordinates are modelled, given the count set K = counts.
 
-    The active set always contains the zero slot and, for every count k in
-    some set K, the pairs (j, k) for all tags j.  Training only the counts
-    observed in a sample keeps the reduction at 1 + s*|K| subproblems
-    instead of s^2 + 1.
+    The active set is the zero slot plus, for every count k in counts, the
+    pairs (j, k) for all tags j.  Training only the counts observed in a
+    sample keeps the reduction at 1 + s*|K| subproblems instead of s^2 + 1.
+    counts is kept sorted and duplicate-free; counts below 1 are dropped,
+    since the zero slot is always active.
     """
 
     s: int
     beta: BetaParam
-    loss: BinaryLossSpec = LOGISTIC
-    active_indices: tuple[StatIndex, ...] = field(default=())
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        active = tuple(self.active_indices)
-        if not active:
-            active = tuple(iter_stat_indices(self.s))
-        flats = [ix.flat(self.s) for ix in active]
-        if any(b <= a for a, b in zip(flats, flats[1:])):
-            raise ValueError("active indices must be strictly increasing in flat order")
-        if flats[0] != 0:
-            raise ValueError("the zero slot must be active")
-        counts = {ix.k for ix in active if not ix.is_zero}
-        want = {StatIndex.pair(j, k) for j in range(1, self.s + 1) for k in counts}
-        if set(active[1:]) != want:
-            raise ValueError("pair coordinates must cover every tag for each active count")
-        object.__setattr__(self, "active_indices", active)
-
-    @classmethod
-    def full(cls, s: int, beta: BetaParam, loss: BinaryLossSpec = LOGISTIC) -> "SurrogateConfig":
-        return cls(s, beta, loss, tuple(iter_stat_indices(s)))
-
-    @classmethod
-    def for_counts(
-        cls,
-        s: int,
-        counts: Sequence[int],
-        beta: BetaParam,
-        loss: BinaryLossSpec = LOGISTIC,
-    ) -> "SurrogateConfig":
-        """Active set {zero} + all tags for each count in counts (count 0 is the zero slot)."""
-        ks = sorted({int(k) for k in counts if k >= 1})
-        if any(k > s for k in ks):
+        counts = tuple(sorted({int(k) for k in self.counts if k >= 1}))
+        if any(k > self.s for k in counts):
             raise ValueError("counts must lie in 1..s")
-        active = [StatIndex.zero()]
-        for j in range(1, s + 1):
-            for k in ks:
-                active.append(StatIndex.pair(j, k))
-        return cls(s, beta, loss, tuple(active))
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def full(cls, s: int, beta: BetaParam) -> "SurrogateConfig":
+        return cls(s, beta, tuple(range(1, s + 1)))
+
+    @classmethod
+    def for_counts(cls, s: int, counts: Sequence[int], beta: BetaParam) -> "SurrogateConfig":
+        """Active set {zero} + all tags for each count in counts (count 0 is the zero slot)."""
+        return cls(s, beta, tuple(counts))
+
+    @cached_property
+    def active_indices(self) -> tuple[StatIndex, ...]:
+        """The zero slot, then (j, k) for every tag j and count k, in flat order."""
+        pairs = (StatIndex.pair(j, k) for j in range(1, self.s + 1) for k in self.counts)
+        return (StatIndex.zero(), *pairs)
 
     @cached_property
     def active_flats(self) -> np.ndarray:
@@ -87,67 +71,42 @@ class SurrogateConfig:
         flats.flags.writeable = False
         return flats
 
-    @cached_property
-    def active_counts(self) -> tuple[int, ...]:
-        """The count set K behind the pair coordinates, ascending."""
-        return tuple(sorted({ix.k for ix in self.active_indices if not ix.is_zero}))
-
     def n_subproblems(self) -> int:
         return len(self.active_indices)
 
 
-def _active_stats(y: LabelVec, cfg: SurrogateConfig) -> np.ndarray:
-    """label_stats(y) restricted to the active coordinates, without the full vector."""
-    n = y.popcount
-    vals = np.empty(len(cfg.active_indices))
-    for pos, ix in enumerate(cfg.active_indices):
-        if ix.is_zero:
-            vals[pos] = 1.0 if n == 0 else 0.0
-        else:
-            vals[pos] = 1.0 if (n == ix.k and y.bits[ix.j - 1]) else 0.0
-    return vals
-
-
 def surrogate_loss(y: LabelVec, scores: StatVec, cfg: SurrogateConfig) -> float:
-    """Sum over active coordinates of the binary loss at that coordinate.
+    """Sum over active coordinates of the logistic loss at that coordinate.
 
     Coordinate i contributes phi(+1, u_i) when the statistic a_i(y) is 1 and
     phi(-1, u_i) when it is 0.
     """
     if y.s != cfg.s or scores.s != cfg.s:
         raise ValueError("labeling, scores, and config must agree on the tag count")
-    a = _active_stats(y, cfg)
+    a = label_stats(y).entries[cfg.active_flats]
     u = scores.entries[cfg.active_flats]
-    return float(np.sum(cfg.loss.loss(2.0 * a - 1.0, u)))
+    return float(np.sum(logistic_loss(2.0 * a - 1.0, u)))
 
 
 def surrogate_gradient(y: LabelVec, scores: StatVec, cfg: SurrogateConfig) -> StatVec:
     """Gradient of surrogate_loss in the scores; zero at inactive coordinates.
 
-    For the logistic loss the active entries are sigmoid(u_i) - a_i(y).
+    The active entries are sigmoid(u_i) - a_i(y).
     """
     if y.s != cfg.s or scores.s != cfg.s:
         raise ValueError("labeling, scores, and config must agree on the tag count")
-    a = _active_stats(y, cfg)
+    a = label_stats(y).entries[cfg.active_flats]
     u = scores.entries[cfg.active_flats]
-    grad = cfg.loss.gradient(2.0 * a - 1.0, u)
     entries = np.zeros(cfg.s * cfg.s + 1)
-    entries[cfg.active_flats] = grad
+    entries[cfg.active_flats] = logistic_gradient(2.0 * a - 1.0, u)
     return StatVec(cfg.s, entries)
 
 
 def binary_targets(data, index: StatIndex) -> np.ndarray:
     """Per-instance 0/1 value of one statistic coordinate over a dataset.
 
-    Accepts anything with a .labels sequence of LabelVec (or such a sequence
-    directly).  These are the binary labels of the subproblem at `index`.
+    data is a Dataset or its (m, s) bit matrix.  These are the binary labels
+    of the subproblem at `index`.
     """
-    labels = getattr(data, "labels", data)
-    out = np.empty(len(labels), dtype=np.uint8)
-    if index.is_zero:
-        for i, y in enumerate(labels):
-            out[i] = 1 if y.popcount == 0 else 0
-    else:
-        for i, y in enumerate(labels):
-            out[i] = 1 if (y.popcount == index.k and y.bits[index.j - 1]) else 0
-    return out
+    bits = np.asarray(getattr(data, "bits", data))
+    return label_stats_matrix(bits)[:, index.flat(bits.shape[1])].astype(np.uint8)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import evaluation
-from .fmeasure import BetaParam, LabelVec, StatVec, all_labelings, label_stats_matrix
+from .fmeasure import LabelVec, StatVec, all_labelings, label_stats_matrix, labelvec_rows
 from .losses import logit_link
 from .training import Dataset
 
@@ -26,7 +24,6 @@ __all__ = [
     "SamplePoint",
     "SynthDistribution",
     "SynthSample",
-    "bayes_f_accuracy",
     "build_distribution",
     "sample_batch",
     "sample_point",
@@ -195,15 +192,24 @@ def sample_point(dist: SynthDistribution, index: int, stream: int = 0) -> Sample
 
 @dataclass(frozen=True)
 class SynthSample:
-    """A batch of draws with the per-point true statistic means kept alongside."""
+    """A batch of draws: features, sampled labelings and true statistic means.
+
+    The labelings are kept as the (m, s) bit matrix bits; labels views them
+    as LabelVec.
+    """
 
     features: np.ndarray
-    labels: tuple[LabelVec, ...]
+    bits: np.ndarray
     stat_probs: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.labels)
+        return len(self.bits)
+
+    @cached_property
+    def labels(self) -> tuple[LabelVec, ...]:
+        """The sampled labelings as LabelVec, one per row of bits."""
+        return tuple(labelvec_rows(self.bits))
 
 
 def sample_batch(dist: SynthDistribution, n: int, stream: int = 0) -> SynthSample:
@@ -212,12 +218,12 @@ def sample_batch(dist: SynthDistribution, n: int, stream: int = 0) -> SynthSampl
         raise ValueError("batch size must be >= 1")
     features = np.empty((n, dist.d))
     stat_probs = np.empty((n, dist.s * dist.s + 1))
-    labels = []
+    bits = np.empty((n, dist.s), dtype=np.uint8)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         _, stat_probs[lo:hi], features[lo:hi], outcomes = _sample_rows(dist, lo, hi, stream)
-        labels.extend(dist.labelings[k] for k in outcomes)
-    return SynthSample(features=features, labels=tuple(labels), stat_probs=stat_probs)
+        bits[lo:hi] = dist.support_bits[outcomes]
+    return SynthSample(features=features, bits=bits, stat_probs=stat_probs)
 
 
 def to_dataset(dist: SynthDistribution, sample: SynthSample) -> Dataset:
@@ -227,13 +233,5 @@ def to_dataset(dist: SynthDistribution, sample: SynthSample) -> Dataset:
         s=dist.s,
         d=dist.d,
         features=sparse.csr_matrix(sample.features),
-        labels=sample.labels,
+        labels=sample.bits,
     )
-
-
-def bayes_f_accuracy(dist: SynthDistribution, stat_probs: np.ndarray | Iterable[StatVec],
-                     beta: BetaParam) -> float:
-    """Mean expected F-beta of the optimal decoder on points with known means."""
-    if not isinstance(stat_probs, np.ndarray):
-        stat_probs = np.stack([sv.entries for sv in stat_probs])
-    return evaluation.bayes_f(stat_probs, dist.s, beta)

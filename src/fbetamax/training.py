@@ -12,7 +12,7 @@ deterministic for a fixed dataset and configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .decoding import decode_rows, row_chunks
-from .fmeasure import BetaParam, LabelVec, StatIndex, StatVec, label_stats_matrix
+from .fmeasure import BetaParam, StatIndex, label_stats_matrix
 from .surrogate import SurrogateConfig
 
 __all__ = [
@@ -43,27 +43,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """A multi-label sample: sparse features plus one labeling per row.
+    """A multi-label sample: sparse features plus an (m, s) 0/1 label matrix.
 
-    The features are stored in canonical CSR form: each row's indices
-    strictly increasing, with repeated entries summed.
+    labels is given as an (m, s) 0/1 array or as a sequence of LabelVec and
+    kept once, as the read-only uint8 matrix bits.  The features are stored
+    in canonical CSR form: each row's indices strictly increasing, with
+    repeated entries summed.
     """
 
     s: int
     d: int
     features: sparse.csr_matrix
-    labels: tuple[LabelVec, ...]
+    labels: InitVar[np.ndarray | Sequence]
+    bits: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, labels) -> None:
         if self.s < 1 or self.d < 1:
             raise ValueError("s and d must be >= 1")
+        if not isinstance(labels, np.ndarray):
+            # a sequence of LabelVec
+            labels = np.array([y.bits for y in labels] or np.zeros((0, self.s)))
+        if labels.ndim != 2 or labels.shape[1] != self.s:
+            raise ValueError(f"labels must be an (m, s) matrix over all {self.s} tags, "
+                             f"got shape {labels.shape}")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("label values must be 0 or 1")
+        bits = labels.astype(np.uint8)
+        bits.flags.writeable = False
         feats = sparse.csr_matrix(self.features, dtype=np.float64)
-        if feats.shape != (len(self.labels), self.d):
+        if feats.shape != (len(bits), self.d):
             raise ValueError(
-                f"feature matrix is {feats.shape}, expected ({len(self.labels)}, {self.d})"
+                f"feature matrix is {feats.shape}, expected ({len(bits)}, {self.d})"
             )
-        if any(y.s != self.s for y in self.labels):
-            raise ValueError("every labeling must cover all s tags")
         if not feats.has_canonical_format:
             # sorted, duplicate-free rows; a copy, since feats may share the caller's arrays
             feats = feats.copy()
@@ -72,23 +83,16 @@ class Dataset:
             # after summing, so repeated finite entries cannot overflow to inf unchecked
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "bits", bits)
 
     @property
     def m(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """(m, s) 0/1 label matrix, one row per labeling."""
-        bits = np.array([y.bits for y in self.labels], dtype=np.uint8).reshape(self.m, self.s)
-        bits.flags.writeable = False
-        return bits
+        return len(self.bits)
 
     @cached_property
     def observed_counts(self) -> frozenset[int]:
         """Active-tag counts that occur in the sample, including 0."""
-        return frozenset(y.popcount for y in self.labels)
+        return frozenset(np.unique(self.bits.sum(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -477,8 +481,7 @@ class LinearModel:
     """One linear scorer per active statistic coordinate.
 
     weights has one row per active coordinate, each of length d+1 with the
-    bias last.  Scores at inactive coordinates are -inf so the inverse link
-    sends them to probability exactly 0.
+    bias last.  Inactive coordinates get no score and probability exactly 0.
     """
 
     s: int
@@ -538,23 +541,6 @@ class LinearModel:
     def predict_rows(self, X) -> np.ndarray:
         """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
         return _predict_by_chunks(self, X)
-
-    def predict_scores(self, x) -> StatVec:
-        """Scores for a single feature row; -inf marks inactive coordinates."""
-        scores = self.score_rows(x)[0]
-        entries = np.full(self.s * self.s + 1, -np.inf)
-        entries[self.active_flats] = scores
-        return StatVec(self.s, entries)
-
-    def predict_stat_probs(self, x) -> StatVec:
-        """Estimated statistic means for a single feature row."""
-        entries = np.zeros(self.s * self.s + 1)
-        entries[self.active_flats] = expit(self.score_rows(x)[0])
-        return StatVec(self.s, entries)
-
-    def predict(self, x) -> LabelVec:
-        bits = self.predict_rows(x)
-        return LabelVec(tuple(int(b) for b in bits[0]))
 
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:

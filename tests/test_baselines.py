@@ -79,9 +79,7 @@ class TestEfpModel:
         model = train_efp(data, TrainConfig(reg_lambda=0.1), B1)
         bits = model.predict_rows(data.features[:5])
         for i in range(5):
-            assert model.predict(data.features[i]) == LabelVec(
-                tuple(int(b) for b in bits[i])
-            )
+            np.testing.assert_array_equal(model.predict_rows(data.features[i]), bits[i:i + 1])
 
     @pytest.mark.parametrize("s", [1, 6])
     def test_chunk_boundaries_match_one_shot_assembly(self, s, monkeypatch):
@@ -167,7 +165,7 @@ class TestBrModel:
         x = np.array([1.0, 2.0])
         scores = model.score_rows(x)[0]
         assert scores[0] == 0.0
-        assert model.predict(x) == LabelVec((1, 1 if scores[1] >= 0 else 0))
+        np.testing.assert_array_equal(model.predict_rows(x), [[1, 1 if scores[1] >= 0 else 0]])
 
     def test_marginals_are_sigmoid_scores(self):
         rng = np.random.default_rng(5)

@@ -154,7 +154,7 @@ class TestConvert:
         code, _, _ = _run(capsys, "convert", str(src), str(dst), "--one-based")
         assert code == 0
         data = load_dataset(dst)
-        assert [y.bits for y in data.labels] == [(0, 1)]
+        assert data.bits.tolist() == [[0, 1]]
         np.testing.assert_array_equal(data.features.toarray(), [[0, 0, 4]])
 
     def test_malformed_dump_exits_1_and_writes_nothing(self, tmp_path, capsys):
@@ -332,6 +332,28 @@ class TestCrossvalCommand:
         assert code == 0
         assert stdout.count("fold=") == 6
         assert "chosen reg=" in stdout
+
+    def test_unconverged_fold_fails_and_chooses_no_reg(self, tmp_path, capsys, monkeypatch):
+        from functools import partial
+
+        import fbetamax.cli as cli_mod
+        from fbetamax.training import TrainConfig
+
+        # one Newton step cannot reach the default gradient tolerance
+        monkeypatch.setattr(cli_mod, "TrainConfig", partial(TrainConfig, max_iters=1))
+        out = str(tmp_path / "task")
+        _run(capsys, "synth", "--seed", "0", "--s", "2", "--d", "6",
+             "--train-size", "120", "--test-size", "10", "--out-dir", out)
+        code, stdout, err = _run(
+            capsys, "crossval", "--algo", "surrogate", "--input", f"{out}/train.mlsparse",
+            "--grid", "0.001,0.1", "--folds", "3",
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "did not converge" in err
+        assert "reg=0.001 fold=0 zero" in err and "reg=0.1 fold=2 zero" in err
+        assert "no reg chosen" in err
+        assert "chosen reg" not in stdout
 
     def test_grid_expansion(self):
         assert _parse_grid("1e-2:1e1") == (0.01, 0.1, 1.0, 10.0)

@@ -60,9 +60,7 @@ class TestLoadDataset:
         )
         data = load_dataset(p)
         assert (data.s, data.d, data.m) == (3, 4, 3)
-        assert data.labels == (
-            LabelVec((1, 0, 1)), LabelVec((0, 0, 0)), LabelVec((0, 1, 0))
-        )
+        assert data.bits.tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
         dense = data.features.toarray()
         np.testing.assert_array_equal(
             dense,
@@ -98,7 +96,7 @@ class TestLoadDataset:
     def test_duplicate_label_tokens_are_tolerated(self, tmp_path):
         p = tmp_path / "dup.txt"
         _write(p, "#ml-sparse v1 s=2 d=2\n1,1,2\t\n")
-        assert load_dataset(p).labels == (LabelVec((1, 1)),)
+        assert load_dataset(p).bits.tolist() == [[1, 1]]
 
     def test_header_only_file_is_empty_dataset_error(self, tmp_path):
         # zero rows cannot form a Dataset downstream, but loading is exact
@@ -120,7 +118,7 @@ class TestDatasetRoundTrip:
         p = tmp_path / "round.txt"
         save_dataset(data, p)
         back = load_dataset(p)
-        assert back.labels == data.labels
+        assert back.bits.tolist() == data.bits.tolist()
         np.testing.assert_array_equal(back.features.toarray(), X.toarray())
 
     @given(data=st.data())
@@ -308,7 +306,7 @@ class TestConvertInterchange:
         convert_interchange(src, dst)
         data = load_dataset(dst)
         assert (data.s, data.d, data.m) == (2, 4, 3)
-        assert data.labels == (LabelVec((1, 1)), LabelVec((0, 1)), LabelVec((0, 0)))
+        assert data.bits.tolist() == [[1, 1], [0, 1], [0, 0]]
         dense = data.features.toarray()
         np.testing.assert_array_equal(
             dense,
@@ -321,7 +319,7 @@ class TestConvertInterchange:
         _write(src, "1 2 2\n1,2 2:0.25 1:0.5\n")
         convert_interchange(src, dst, zero_based=False)
         data = load_dataset(dst)
-        assert data.labels == (LabelVec((1, 1)),)
+        assert data.bits.tolist() == [[1, 1]]
         # features come out sorted by index
         np.testing.assert_array_equal(data.features.toarray(), [[0.5, 0.25]])
 
@@ -361,7 +359,7 @@ class TestConvertInterchange:
         convert_interchange(src, tmp_path / "dst.txt")
         data = load_dataset(tmp_path / "dst.txt")
         # the blank second line is a point with no labels and no features
-        assert data.m == 2 and data.labels[1] == LabelVec((0, 0))
+        assert data.m == 2 and data.bits[1].tolist() == [0, 0]
 
     def test_out_of_range_label(self, tmp_path):
         src = tmp_path / "src.txt"
@@ -449,11 +447,11 @@ def _oracle_load_dataset(path):
 def _oracle_dataset_text(data: Dataset) -> str:
     feats = data.features
     out = [f"#ml-sparse v1 s={data.s} d={data.d}"]
-    for i, y in enumerate(data.labels):
+    for i, y in enumerate(data.bits):
         row = feats.getrow(i)
         order = np.argsort(row.indices, kind="stable")
         pairs = " ".join(f"{row.indices[o] + 1}:{row.data[o]:.17g}" for o in order)
-        out.append(f"{','.join(str(j) for j in y.active_tags())}\t{pairs}")
+        out.append(f"{','.join(str(j) for j, b in enumerate(y, start=1) if b)}\t{pairs}")
     return "\n".join(out) + "\n"
 
 
@@ -503,7 +501,7 @@ def _assert_matches_oracle(path) -> None:
         return
     data = load_dataset(path)
     assert (data.s, data.d) == (s, d)
-    assert [y.bits for y in data.labels] == labels
+    assert [tuple(row) for row in data.bits.tolist()] == labels
     assert data.features.indptr.tolist() == indptr
     assert data.features.indices.tolist() == col_indices
     assert _same_doubles(data.features.data, values)
@@ -524,7 +522,7 @@ class TestBlockedDatasetIO:
         save_dataset(ds, p)
         assert p.read_text(encoding="utf-8") == _oracle_dataset_text(ds)
         back = load_dataset(p)
-        assert back.labels == ds.labels
+        assert back.bits.tolist() == ds.bits.tolist()
         assert back.features.indptr.tolist() == ds.features.indptr.tolist()
         assert back.features.indices.tolist() == ds.features.indices.tolist()
         assert _same_doubles(back.features.data, ds.features.data)
@@ -612,7 +610,7 @@ class TestBlockedDatasetIO:
         p.write_bytes(b"#ml-sparse v1 s=2 d=3\r\n1,2\t1:0.5 3:2\r\n\t2:1")
         _assert_matches_oracle(p)
         data = load_dataset(p)
-        assert data.labels == (LabelVec((1, 1)), LabelVec((0, 0)))
+        assert data.bits.tolist() == [[1, 1], [0, 0]]
         np.testing.assert_array_equal(data.features.toarray(), [[0.5, 0, 2], [0, 1, 0]])
 
 
@@ -650,7 +648,7 @@ class TestCanonicalFeatures:
         dense = to_dataset(dist, sample_batch(dist, 316, stream=0))
         sparse_ds = _random_dataset(np.random.default_rng(7), 400, 5, 2000, [0.5, -1.0], 1)
         for ds in (dense, sparse_ds):
-            again = Dataset(s=ds.s, d=ds.d, features=ds.features, labels=ds.labels)
+            again = Dataset(s=ds.s, d=ds.d, features=ds.features, labels=ds.bits)
             for a in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(again.features, a), getattr(ds.features, a))
 
@@ -665,7 +663,7 @@ class TestCanonicalFeatures:
         assert not shuffled.has_canonical_format
         cfg, scfg = TrainConfig(reg_lambda=0.05), SurrogateConfig.full(2, B1)
         a = train_surrogate(data, cfg, scfg)
-        b = train_surrogate(Dataset(s=2, d=12, features=shuffled, labels=data.labels), cfg, scfg)
+        b = train_surrogate(Dataset(s=2, d=12, features=shuffled, labels=data.bits), cfg, scfg)
         assert a.weights.tobytes() == b.weights.tobytes()
 
 

@@ -177,10 +177,6 @@ class TestTransferBound:
         bound, ok = check_regret_bound(bound + 1e-6, 0.1, 6, B1)
         assert not ok
 
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError, match="modulus"):
-            regret_transfer_bound(0.1, 6, B1, strong_properness=0.0)
-
 
 class _ThresholdModel:
     """Predicts a tag active when its mean feature exceeds the reg value."""

@@ -18,6 +18,7 @@ from fbetamax.fmeasure import (
     iter_stat_indices,
     label_stats,
     label_stats_matrix,
+    labelvec_rows,
     loss_coeffs,
     loss_coeffs_matrix,
     precision,
@@ -57,6 +58,17 @@ class TestLabelVec:
         assert y.bits == (0, 1, 0, 1, 0)
         with pytest.raises(ValueError):
             LabelVec.from_active((6,), 5)
+
+    def test_rows_from_bit_matrix_share_equal_rows(self):
+        ys = labelvec_rows(np.array([[1, 0], [0, 0], [1, 0]], dtype=np.uint8))
+        assert ys == [LabelVec((1, 0)), LabelVec((0, 0)), LabelVec((1, 0))]
+        assert ys[0] is ys[2]
+        assert labelvec_rows(np.zeros((0, 3), dtype=np.uint8)) == []
+        # rows are converted block by block; sharing spans block boundaries
+        bits = np.random.default_rng(4).integers(0, 2, size=(2500, 3))
+        ys = labelvec_rows(bits)
+        assert ys == [LabelVec(tuple(row)) for row in bits.tolist()]
+        assert len({id(y) for y in ys}) == len({tuple(row) for row in bits.tolist()})
 
 
 class TestStatIndex:

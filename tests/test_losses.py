@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbetamax.losses import (
-    LOGISTIC,
     PROB_CLIP,
+    STRONG_PROPERNESS,
     logistic_gradient,
     logistic_loss,
     logit_link,
@@ -114,5 +114,5 @@ class TestPointwiseRegret:
         us = np.arange(-100, 101) / 10.0
         regret = pointwise_binary_regret(qs[:, None], us[None, :])
         gap = regret - 2.0 * (sigmoid(us[None, :]) - qs[:, None]) ** 2
-        assert LOGISTIC.strong_properness == 4.0
+        assert STRONG_PROPERNESS == 4.0
         assert np.all(gap >= 0.0)

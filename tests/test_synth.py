@@ -203,4 +203,4 @@ class TestToDataset:
         assert data.m == 15
         assert (data.s, data.d) == (3, 12)
         np.testing.assert_allclose(data.features.toarray(), batch.features, atol=0)
-        assert data.labels == batch.labels
+        assert data.bits.tolist() == [list(y.bits) for y in batch.labels]

@@ -282,18 +282,19 @@ class TestLinearModelPrediction:
 
     def test_zero_weights_give_half_probabilities(self):
         model = self._tiny_model()
-        probs = model.predict_stat_probs(np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(probs.entries, 0.5)
+        probs = model.stat_prob_rows(np.array([1.0, -2.0, 0.5]))[0]
+        np.testing.assert_allclose(probs, 0.5)
 
-    def test_inactive_scores_are_neg_inf_and_probs_exactly_zero(self):
+    def test_inactive_coordinates_unscored_with_zero_probs(self):
         model = self._tiny_model(counts=[1])
         x = np.array([0.3, 0.0, -1.0])
-        scores = model.predict_scores(x)
-        probs = model.predict_stat_probs(x)
+        scores = model.score_rows(x)[0]
+        probs = model.stat_prob_rows(x)[0]
         for ix in (StatIndex.pair(1, 2), StatIndex.pair(2, 2)):
-            assert scores[ix] == -np.inf
-            assert probs[ix] == 0.0
-        assert np.isfinite(scores[StatIndex.zero()])
+            assert ix.flat(2) not in model.active_flats
+            assert probs[ix.flat(2)] == 0.0
+        assert model.active_indices[0] == StatIndex.zero()
+        assert np.isfinite(scores[0])
 
     def test_predict_agrees_with_predict_rows(self):
         rng = np.random.default_rng(21)
@@ -302,7 +303,8 @@ class TestLinearModelPrediction:
         X = data.features[:7]
         bits = model.predict_rows(X)
         for i in range(7):
-            assert model.predict(X[i]) == LabelVec(tuple(int(b) for b in bits[i]))
+            # one row through predict_rows decodes as it does in the batch
+            np.testing.assert_array_equal(model.predict_rows(X[i]), bits[i:i + 1])
 
     @pytest.mark.parametrize("s", [1, 6, 50])
     def test_chunk_boundaries_match_one_product(self, s):
@@ -496,3 +498,41 @@ class TestDataset:
             labels=(LabelVec((0, 0, 0)), LabelVec((1, 1, 0)), LabelVec((1, 1, 1))),
         )
         assert data.observed_counts == frozenset({0, 2, 3})
+
+    @pytest.mark.parametrize("labels", [
+        np.array([[0, 2], [1, 0]]),
+        np.array([[0, 1, 0], [1, 0, 0]]),
+        np.array([0, 1]),
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+    ], ids=["value-2", "wrong-width", "one-dim", "nan"])
+    def test_bad_label_arrays_rejected(self, labels):
+        with pytest.raises(ValueError, match="label"):
+            Dataset(s=2, d=3, features=sparse.csr_matrix(np.zeros((2, 3))), labels=labels)
+
+    def test_empty_labels_give_an_empty_matrix(self):
+        data = Dataset(s=3, d=2, features=sparse.csr_matrix((0, 2)), labels=())
+        assert data.bits.shape == (0, 3) and data.bits.dtype == np.uint8
+        assert data.m == 0 and data.observed_counts == frozenset()
+
+    def test_labelvec_and_array_forms_agree(self):
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2, size=(20, 4))
+        X = sparse.csr_matrix(rng.normal(size=(20, 3)))
+        from_array = Dataset(s=4, d=3, features=X, labels=bits)
+        from_vecs = Dataset(s=4, d=3, features=X,
+                            labels=tuple(LabelVec(tuple(row)) for row in bits.tolist()))
+        for data in (from_array, from_vecs):
+            assert data.bits.dtype == np.uint8
+            np.testing.assert_array_equal(data.bits, bits)
+            assert data.m == 20
+            assert data.observed_counts == from_array.observed_counts
+        assert from_array.observed_counts == frozenset(bits.sum(axis=1).tolist())
+        assert not hasattr(from_array, "labels")
+
+    def test_bits_are_read_only_and_not_shared(self):
+        labels = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        data = Dataset(s=2, d=3, features=sparse.csr_matrix(np.zeros((2, 3))), labels=labels)
+        with pytest.raises(ValueError):
+            data.bits[0, 0] = 1
+        labels[0, 0] = 1
+        assert data.bits.tolist() == [[0, 1], [1, 1]]
