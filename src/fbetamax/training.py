@@ -3,11 +3,16 @@
 Every active statistic coordinate gets its own binary logistic model over
 the shared sparse features, and all of them are fit by one call that takes
 the whole target matrix; the count-stratified baseline adds softmax blocks.
-While the Newton system is small (NEWTON_MAX_DIM) the solver is damped
-Newton with one Cholesky factorization per subproblem and iteration, which
-reaches the gradient tolerance in a dozen steps; larger systems run
-full-batch L-BFGS-B.  Both use analytic gradients, so results are
-deterministic for a fixed dataset and configuration.
+Small problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) run
+damped Newton with one Cholesky factorization per subproblem and
+iteration, which reaches the gradient tolerance in a dozen steps.  The
+rest run batched L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989): columns
+advance together in blocks sized by LBFGS_BLOCK_ENTRIES, so each
+evaluation is one sparse product with X and one with its transpose per
+block.  Both solvers share the per-column Armijo search and active set and
+use analytic gradients, so results are deterministic for a fixed dataset
+and configuration, and a column's result does not depend on which columns
+share its batch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .decoding import decode_rows, row_chunks
@@ -28,9 +32,11 @@ from .surrogate import SurrogateConfig
 
 __all__ = [
     "Dataset",
+    "LBFGS_BLOCK_ENTRIES",
     "LinearModel",
     "MultinomialFit",
     "NEWTON_MAX_DIM",
+    "NEWTON_MIN_DENSITY",
     "SubproblemReport",
     "TrainConfig",
     "fit_binary_logistic",
@@ -162,16 +168,43 @@ def _predict_by_chunks(model, X) -> np.ndarray:
     return bits
 
 
-# Largest problem solved by damped Newton, in weights: p = d+1 per binary
-# column (d without a bias), C*p per C-class softmax block.  A softmax step
-# solves only (C-1)*p unknowns, but the cutoff counts C*p, the units of the
-# sweep below.  Larger problems run L-BFGS-B.  A Newton iteration costs
-# about m*p^2 + p^3/3 flops.  On a d-sweep over dense features Newton
-# stayed faster up to p ~ 550 for binary columns and C*p ~ 1700 for softmax
-# blocks, where L-BFGS-B also stopped at max_iters up to C*p ~ 1050.  On
-# sparse, well-conditioned features L-BFGS-B is faster at every size, so
-# below the cutoff those trade speed for an exactly converged fit.
+# Damped Newton runs when a problem has at most NEWTON_MAX_DIM weights and
+# its design (X with its bias column) holds at least NEWTON_MIN_DENSITY*m*p
+# entries; everything else runs batched L-BFGS.  Weights are p = d+1 per
+# binary column (d without a bias) and C*p per C-class softmax block (a
+# softmax step solves only (C-1)*p unknowns, but the cutoff counts C*p).
+# A Newton iteration costs about m*p^2 + p^3/3 flops whatever the
+# sparsity; an L-BFGS iteration costs two sparse products over the
+# nonzeros but needs 10-30x as many iterations.  Sweep, seconds per binary
+# column or per softmax block (C = 7), Newton / L-BFGS, reg 1e-4, one BLAS
+# thread on 2 vCPU; the synth rows are s = 6 tasks with X masked to the
+# density, the planted rows have 50 nonzeros per row; * = L-BFGS stopped
+# at max_iters = 500:
+#
+#   data      m     p  density  binary         softmax
+#   synth   316   100  1.0      0.004 / 0.016  0.17 / 0.48*
+#   synth   316   100  0.5      0.003 / 0.006  0.16 / 0.24
+#   synth  1000   101  1.0      0.007 / 0.045  0.24 / 0.89*
+#   synth  1000   101  0.5      0.005 / 0.008  0.28 / 0.60
+#   synth  1000   101  0.25                    0.23 / 0.27
+#   synth  1000   201  1.0                     0.63 / 1.79*  (C*p = 1407)
+#   synth  1000   201  0.5                     0.74 / 0.54   (C*p = 1407)
+#   synth  1000   401  1.0      0.042 / 0.050
+#   synth  1000   401  0.75     0.040 / 0.043
+#   synth  1000   401  0.5      0.039 / 0.026
+#   planted 4000  101  0.40     0.012 / 0.003
+#   planted 4000  401  0.12     0.083 / 0.007
+#   planted 4000 1000  0.05     0.59  / 0.016
+#
+# Dense softmax blocks stall under L-BFGS, so they keep Newton up to the
+# cutoff; above it they stall as they did under L-BFGS-B.
 NEWTON_MAX_DIM = 1000
+NEWTON_MIN_DENSITY = 0.5
+
+# Each L-BFGS block of columns holds about this many history and row
+# entries: 2*_MEMORY*p history plus m row temporaries per column, so the
+# block width, not the number of columns, bounds the solver's memory.
+LBFGS_BLOCK_ENTRIES = 1 << 20
 
 # sufficient-decrease constant of the backtracking line search
 _ARMIJO = 1e-4
@@ -179,6 +212,8 @@ _ARMIJO = 1e-4
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
 # a column whose backtracked step falls below this stops moving
 _MIN_STEP = 2.0**-40
+# limited-memory pairs kept per column, L-BFGS-B's default
+_MEMORY = 10
 
 
 def _ridge(d: int, cfg: TrainConfig) -> np.ndarray:
@@ -186,6 +221,14 @@ def _ridge(d: int, cfg: TrainConfig) -> np.ndarray:
     reg = np.full(d + int(cfg.bias), cfg.reg_lambda)
     reg[d:] = 0.0
     return reg
+
+
+def _use_newton(X: sparse.csr_matrix, unknowns: int, cfg: TrainConfig) -> bool:
+    """Damped Newton for small problems on dense enough features, L-BFGS otherwise."""
+    m, d = X.shape
+    p = d + int(cfg.bias)
+    nnz = X.nnz + m * int(cfg.bias)
+    return unknowns <= NEWTON_MAX_DIM and nnz >= NEWTON_MIN_DENSITY * m * p
 
 
 def _design(X: sparse.csr_matrix, bias: bool) -> sparse.csr_matrix:
@@ -199,6 +242,11 @@ def _design(X: sparse.csr_matrix, bias: bool) -> sparse.csr_matrix:
 def _column_sums(A: np.ndarray) -> np.ndarray:
     """Per-column sums, each reduced in the same order whatever columns share A."""
     return np.ascontiguousarray(A.T).sum(axis=1)
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-row dot products, each reduced in the same order whatever rows share A."""
+    return np.einsum("ij,ij->i", A, B)
 
 
 def _report(name: str, objective, grad: np.ndarray, iterations, cfg: TrainConfig) -> SubproblemReport:
@@ -221,15 +269,16 @@ def _solve_psd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(factor, rhs, check_finite=False)
 
 
-def _damped_newton(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
-    """Damped Newton over n independent parameter columns, each started at zero.
+def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
+    """Line-search descent over n independent parameter columns, each started at zero.
 
     evaluate(W, cols) returns the objectives (k,), gradients (dim, k) and
-    curvature data (..., k) of columns cols at parameters W (dim, k);
-    direction(curv, g) returns one column's Newton step.  Each column
-    backtracks with its own Armijo step and leaves the active set once its
-    gradient test passes, its step stalls, or its values turn non-finite.
-    Returns the parameters, objectives, gradients and iteration counts.
+    curvature data (..., k), or None, of columns cols at parameters W
+    (dim, k); direction(active, W, G, curv) returns the (dim, k) search
+    directions of the active columns.  Each column backtracks with its own
+    Armijo step and leaves the active set once its gradient test passes,
+    its step stalls, or its values turn non-finite.  Returns the
+    parameters, objectives, gradients and iteration counts.
     """
     W = np.zeros((dim, n))
     f, G, curv = evaluate(W, np.arange(n))
@@ -239,7 +288,7 @@ def _damped_newton(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
     for _ in range(cfg.max_iters):
         if active.size == 0:
             break
-        D = np.stack([direction(curv[..., c], G[:, c]) for c in active], axis=1)
+        D = direction(active, W, G, curv)
         slope = _column_sums(G[:, active] * D)
         step = np.ones(active.size)
         moved = np.zeros(active.size, dtype=bool)
@@ -254,7 +303,8 @@ def _damped_newton(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
             W[:, hit] = trial[:, ok]
             f[hit] = f_t[ok]
             G[:, hit] = G_t[:, ok]
-            curv[..., hit] = curv_t[..., ok]
+            if curv is not None:
+                curv[..., hit] = curv_t[..., ok]
             moved[todo[ok]] = True
             todo = todo[~ok]
             step[todo] *= 0.5
@@ -262,6 +312,14 @@ def _damped_newton(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
         iters[active] += 1
         active = active[moved & (np.max(np.abs(G[:, active]), axis=0) > cfg.grad_tol)]
     return W, f, G, iters
+
+
+def _newton_directions(direction):
+    """A _descent direction that solves one Newton system per active column."""
+    def directions(active, W, G, curv):
+        return np.stack([direction(curv[..., c], G[:, c]) for c in active], axis=1)
+
+    return directions
 
 
 def _newton_logistic(Xb: sparse.csr_matrix, T: np.ndarray, reg: np.ndarray, cfg: TrainConfig):
@@ -291,7 +349,7 @@ def _newton_logistic(Xb: sparse.csr_matrix, T: np.ndarray, reg: np.ndarray, cfg:
         H[diag] += reg
         return _solve_psd(H, -g)
 
-    return _damped_newton(evaluate, direction, p, T.shape[1], cfg)
+    return _descent(evaluate, _newton_directions(direction), p, T.shape[1], cfg)
 
 
 def _sum_zero_basis(C: int) -> np.ndarray:
@@ -350,77 +408,129 @@ def _newton_multinomial(
         E = _solve_psd(H, -(basis.T @ g.reshape(C, p)).ravel())
         return (basis @ E.reshape(k, p)).ravel()
 
-    return _damped_newton(evaluate, direction, C * p, 1, cfg)
+    return _descent(evaluate, _newton_directions(direction), C * p, 1, cfg)
 
 
-def _lbfgs_logistic(
-    X: sparse.csr_matrix, Xt: sparse.csr_matrix, a: np.ndarray, cfg: TrainConfig, name: str
-) -> tuple[np.ndarray, SubproblemReport]:
-    """One binary column by L-BFGS-B, for problems above NEWTON_MAX_DIM."""
-    m, d = X.shape
-    t = 2.0 * a - 1.0
+class _LimitedMemory:
+    """Batched L-BFGS directions (two-loop recursion) for one block of columns.
 
-    def objective(wb: np.ndarray):
-        w = wb[:d]
-        b = wb[d] if cfg.bias else 0.0
-        z = X @ w + b
-        zt = t * z
-        loss = float(np.mean(np.maximum(0.0, -zt) + np.log1p(np.exp(-np.abs(zt)))))
-        obj = loss + 0.5 * cfg.reg_lambda * float(w @ w)
-        r = (expit(z) - a) / m
-        gw = Xt @ r + cfg.reg_lambda * w
-        if cfg.bias:
-            return obj, np.concatenate([gw, [r.sum()]])
-        return obj, gw
+    Row r of the ring buffers S and Y (k, _MEMORY, dim) holds the last
+    steps and gradient changes of the column in position r of the active
+    set.  Every active column advances once per call, so the pair of
+    iteration t sits in slot t % _MEMORY for all of them; a pair that fails
+    the curvature test gets rho = 0, which makes it a no-op.  When columns
+    leave the active set the rows of the others move up in place.  Each
+    column's arithmetic is its own, so its iterates do not depend on which
+    columns share the block.
+    """
 
-    dim = d + 1 if cfg.bias else d
-    res = minimize(
-        objective,
-        np.zeros(dim),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol, "ftol": 1e-12},
-    )
-    weights = np.zeros(d + 1)
-    weights[:dim] = res.x
-    return weights, _report(name, res.fun, res.jac, res.nit, cfg)
+    def __init__(self, S: np.ndarray, Y: np.ndarray):
+        self.S, self.Y = S, Y
+        self.rho = np.zeros(S.shape[:2])
+        self.gamma = np.ones(len(S))
+        self.cols = None
+        self.t = 0
+
+    def _compact(self, keep: np.ndarray) -> None:
+        for new, old in enumerate(np.flatnonzero(keep)):
+            if new != old:
+                self.S[new] = self.S[old]
+                self.Y[new] = self.Y[old]
+                self.rho[new] = self.rho[old]
+                self.gamma[new] = self.gamma[old]
+
+    def __call__(self, active, W, G, curv):
+        Wa = np.ascontiguousarray(W[:, active].T)
+        Ga = np.ascontiguousarray(G[:, active].T)
+        k = active.size
+        S, Y, rho = self.S[:k], self.Y[:k], self.rho[:k]
+        if self.cols is not None:
+            # the active set only shrinks, so an unchanged size means unchanged columns
+            if k < self.cols.size:
+                keep = np.isin(self.cols, active)
+                self._compact(keep)
+                self.W, self.G = self.W[keep], self.G[keep]
+            slot = (self.t - 1) % _MEMORY
+            np.subtract(Wa, self.W, out=S[:, slot])
+            np.subtract(Ga, self.G, out=Y[:, slot])
+            sy = _row_dots(S[:, slot], Y[:, slot])
+            yy = _row_dots(Y[:, slot], Y[:, slot])
+            # NaN compares false, so a non-finite pair is dropped too
+            good = sy > _ROUNDING * yy
+            S[~good, slot] = 0.0
+            Y[~good, slot] = 0.0
+            rho[:, slot] = np.divide(1.0, sy, out=np.zeros(k), where=good)
+            self.gamma[:k][good] = sy[good] / yy[good]
+        self.cols, self.W, self.G = active, Wa, Ga
+        slots = [(self.t - 1 - j) % _MEMORY for j in range(min(self.t, _MEMORY))]
+        self.t += 1
+        Q = -Ga
+        tmp = np.empty_like(Q)
+        alpha = np.empty((len(slots), k))
+        for j, slot in enumerate(slots):
+            alpha[j] = rho[:, slot] * _row_dots(S[:, slot], Q)
+            Q -= np.multiply(alpha[j][:, None], Y[:, slot], out=tmp)
+        Q *= self.gamma[:k, None]
+        for j, slot in reversed(list(enumerate(slots))):
+            beta = rho[:, slot] * _row_dots(Y[:, slot], Q)
+            Q += np.multiply((alpha[j] - beta)[:, None], S[:, slot], out=tmp)
+        return Q.T
 
 
-def _lbfgs_multinomial(
-    X: sparse.csr_matrix, labels: np.ndarray, n_classes: int, cfg: TrainConfig, name: str
-) -> tuple[np.ndarray, SubproblemReport]:
-    """One softmax block by L-BFGS-B, for blocks above NEWTON_MAX_DIM."""
+def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
+    """Batched L-BFGS over n parameter columns of length dim, in blocks of columns.
+
+    Each block runs _descent with its own _LimitedMemory directions; the
+    ring buffers are allocated once, at the width that fits
+    LBFGS_BLOCK_ENTRIES, and reused by every block.  Returns the same
+    arrays as _descent.
+    """
+    width = max(1, min(n, LBFGS_BLOCK_ENTRIES // (2 * _MEMORY * dim + m)))
+    S = np.empty((width, _MEMORY, dim))
+    Y = np.empty_like(S)
+    W = np.empty((dim, n))
+    f = np.empty(n)
+    G = np.empty((dim, n))
+    iters = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, width):
+        block = np.arange(lo, min(n, lo + width))
+
+        def evaluate_block(V, cols, block=block):
+            return evaluate(V, block[cols])
+
+        W[:, block], f[block], G[:, block], iters[block] = _descent(
+            evaluate_block, _LimitedMemory(S, Y), dim, block.size, cfg
+        )
+    return W, f, G, iters
+
+
+def _lbfgs_logistic(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
+    """Batched L-BFGS for every column of T; the bias is its own weight row."""
     m, d = X.shape
     Xt = X.T.tocsr()
-    rows = np.arange(m)
+    lam = cfg.reg_lambda
 
-    def objective(flat: np.ndarray):
-        W = flat.reshape(n_classes, d + 1)
-        Z = X @ W[:, :d].T
+    def evaluate(W, cols):
+        Z = X @ W[:d]
         if cfg.bias:
-            Z = Z + W[:, d]
-        lse = logsumexp(Z, axis=1)
-        loss = float(np.mean(lse - Z[rows, labels]))
-        obj = loss + 0.5 * cfg.reg_lambda * float(np.sum(W[:, :d] * W[:, :d]))
-        P = np.exp(Z - lse[:, None])
-        P[rows, labels] -= 1.0
-        P /= m
+            Z += W[d]
+        targets = T[:, cols]
+        # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
+        loss = np.maximum(Z, 0.0)
+        loss -= targets * Z
+        loss += np.log1p(np.exp(-np.abs(Z)))
+        R = expit(Z)
+        R -= targets
+        R /= m
+        f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
         G = np.empty_like(W)
-        G[:, :d] = (Xt @ P).T + cfg.reg_lambda * W[:, :d]
-        G[:, d] = P.sum(axis=0) if cfg.bias else 0.0
-        return obj, G.ravel()
+        G[:d] = Xt @ R
+        G[:d] += lam * W[:d]
+        if cfg.bias:
+            G[d] = _column_sums(R)
+        return f, G, None
 
-    res = minimize(
-        objective,
-        np.zeros(n_classes * (d + 1)),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol, "ftol": 1e-12},
-    )
-    W = res.x.reshape(n_classes, d + 1).copy()
-    if not cfg.bias:
-        W[:, d] = 0.0
-    return W, _report(name, res.fun, res.jac, res.nit, cfg)
+    return _lbfgs(evaluate, d + int(cfg.bias), T.shape[1], m, cfg)
 
 
 def fit_logistic_columns(
@@ -431,9 +541,10 @@ def fit_logistic_columns(
     Each column minimizes mean logistic loss + reg_lambda/2 * ||w||^2 over
     w (and the bias) on the shared rows of X.  Returns (n, d+1) weights with
     the bias last (zero when disabled) and one report per column, named by
-    names.  Up to NEWTON_MAX_DIM weights per column all columns share one
-    damped-Newton run; above it each column runs L-BFGS-B.  Either way a
-    column's result does not depend on which other columns are fit with it.
+    names.  Small problems on dense features share one damped-Newton run
+    (see NEWTON_MAX_DIM); the others run batched L-BFGS in blocks of
+    columns.  Either way a column's result does not depend on which other
+    columns are fit with it.
     """
     X = sparse.csr_matrix(X, dtype=np.float64)
     m, d = X.shape
@@ -446,15 +557,11 @@ def fit_logistic_columns(
     if len(names) != T.shape[1]:
         raise ValueError("one name per target column is required")
     reg = _ridge(d, cfg)
+    if _use_newton(X, reg.size, cfg):
+        W, f, G, iters = _newton_logistic(_design(X, cfg.bias), T, reg, cfg)
+    else:
+        W, f, G, iters = _lbfgs_logistic(X, T, cfg)
     weights = np.zeros((T.shape[1], d + 1))
-    if reg.size > NEWTON_MAX_DIM:
-        Xt = X.T.tocsr()
-        reports = []
-        for c, name in enumerate(names):
-            weights[c], report = _lbfgs_logistic(X, Xt, T[:, c], cfg, name)
-            reports.append(report)
-        return weights, reports
-    W, f, G, iters = _newton_logistic(_design(X, cfg.bias), T, reg, cfg)
     weights[:, : reg.size] = W.T
     reports = [_report(name, f[c], G[:, c], iters[c], cfg) for c, name in enumerate(names)]
     return weights, reports
@@ -588,13 +695,52 @@ def train_multinomial(
         raise ValueError(f"class indices must lie in 0..{n_classes - 1}")
     X = data.features
     reg = _ridge(data.d, cfg)
-    if n_classes * reg.size > NEWTON_MAX_DIM:
-        weights, report = _lbfgs_multinomial(X, labels, n_classes, cfg, name)
-        return MultinomialFit(weights=weights, report=report)
-    W, f, G, iters = _newton_multinomial(_design(X, cfg.bias), labels, n_classes, reg, cfg)
+    if _use_newton(X, n_classes * reg.size, cfg):
+        W, f, G, iters = _newton_multinomial(_design(X, cfg.bias), labels, n_classes, reg, cfg)
+    else:
+        W, f, G, iters = _lbfgs_multinomial(X, labels, n_classes, cfg)
     weights = np.zeros((n_classes, data.d + 1))
     weights[:, : reg.size] = W.reshape(n_classes, reg.size)
     return MultinomialFit(weights=weights, report=_report(name, f[0], G, iters[0], cfg))
+
+
+def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of Z, which is shifted in place by its row maxima.
+
+    Returns the probabilities and the log of each shifted row's sum of
+    exponentials, so log-softmax is Z - that log after the call.
+    """
+    Z -= Z.max(axis=1, keepdims=True)
+    P = np.exp(Z)
+    sums = P.sum(axis=1, keepdims=True)
+    P /= sums
+    return P, np.log(sums[:, 0])
+
+
+def _lbfgs_multinomial(X: sparse.csr_matrix, labels: np.ndarray, C: int, cfg: TrainConfig):
+    """L-BFGS on one softmax block as one parameter column of C x p weights."""
+    m, d = X.shape
+    p = d + int(cfg.bias)
+    Xt = X.T.tocsr()
+    rows = np.arange(m)
+    lam = cfg.reg_lambda
+
+    def evaluate(W, cols):
+        V = W[:, 0].reshape(C, p)
+        Z = X @ V[:, :d].T
+        if cfg.bias:
+            Z += V[:, d]
+        P, log_sums = _shifted_softmax(Z)
+        f = np.mean(log_sums - Z[rows, labels]) + 0.5 * lam * float(np.sum(V[:, :d] * V[:, :d]))
+        P[rows, labels] -= 1.0
+        P /= m
+        G = np.empty((C, p))
+        G[:, :d] = (Xt @ P).T + lam * V[:, :d]
+        if cfg.bias:
+            G[:, d] = P.sum(axis=0)
+        return np.array([f]), G.reshape(C * p, 1), None
+
+    return _lbfgs(evaluate, C * p, 1, m, cfg)
 
 
 def multinomial_prob_rows(weights: np.ndarray, X, bias: bool = True) -> np.ndarray:
@@ -604,6 +750,5 @@ def multinomial_prob_rows(weights: np.ndarray, X, bias: bool = True) -> np.ndarr
     X = _as_feature_matrix(X, d)
     Z = X @ weights[:, :d].T
     if bias:
-        Z = Z + weights[:, d]
-    Z -= logsumexp(Z, axis=1)[:, None]
-    return np.exp(Z)
+        Z += weights[:, d]
+    return _shifted_softmax(Z)[0]

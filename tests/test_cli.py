@@ -227,6 +227,27 @@ class TestErrorPaths:
         assert "did not converge" in err and "tag 1" in err
         assert not model_path.exists()
 
+    def test_unconverged_training_above_cutoff_writes_no_model(self, tmp_path, capsys, monkeypatch):
+        from functools import partial
+
+        import fbetamax.cli as cli_mod
+        from fbetamax.training import NEWTON_MAX_DIM, TrainConfig
+
+        out = str(tmp_path / "task")
+        d = NEWTON_MAX_DIM + 100  # d + 1 weights per column: the batched L-BFGS path
+        _run(capsys, "synth", "--seed", "0", "--s", "3", "--d", str(d),
+             "--train-size", "300", "--test-size", "100", "--out-dir", out)
+        monkeypatch.setattr(cli_mod, "TrainConfig", partial(TrainConfig, max_iters=1))
+        model_path = tmp_path / "m.txt"
+        code, stdout, err = _run(
+            capsys, "train", "--algo", "surrogate", "--input", f"{out}/train.mlsparse",
+            "--model-out", str(model_path),
+        )
+        assert code == 1
+        assert "converged=NO" in stdout and "converged=yes" not in stdout
+        assert err.startswith("error:") and "did not converge" in err
+        assert not model_path.exists()
+
     def test_model_dataset_dimension_mismatch(self, tmp_path, capsys):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

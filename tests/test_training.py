@@ -217,6 +217,53 @@ class TestBinarySolver:
         wb, _ = fit_binary_logistic(X, a, TrainConfig(bias=False))
         assert wb[3] == 0.0
 
+    def test_columns_match_one_column_fits_exactly_above_cutoff(self, monkeypatch):
+        # sparse and above the cutoff: batched L-BFGS, here two columns per block
+        import fbetamax.training as training_mod
+
+        rng = np.random.default_rng(23)
+        m, d = 150, NEWTON_MAX_DIM + 2  # odd p = d + 1: rows of a block sit at mixed alignments
+        X = sparse.random(m, d, density=0.02, format="csr", random_state=np.random.RandomState(23))
+        w_true = rng.normal(size=(d, 5)) * 3.0
+        T = (rng.random((m, 5)) < expit(X @ w_true)).astype(float)
+        T[:, 2] = 0.0  # a saturating column converges later than the others
+        p = d + 1
+        monkeypatch.setattr(training_mod, "LBFGS_BLOCK_ENTRIES", 2 * (2 * 10 * p + m))
+        cfg = TrainConfig(reg_lambda=0.01)
+        names = ["a", "b", "c", "d", "e"]
+        W, reports = fit_logistic_columns(X, T, cfg, names)
+        assert [r.name for r in reports] == names
+        for c in range(5):
+            wb, report = fit_binary_logistic(X, T[:, c], cfg, name=names[c])
+            np.testing.assert_array_equal(W[c], wb)
+            assert report == reports[c]
+            assert report.converged
+
+    def test_one_iteration_above_cutoff_reports_unconverged(self):
+        rng = np.random.default_rng(24)
+        m, d = 100, NEWTON_MAX_DIM + 1
+        X = sparse.random(m, d, density=0.05, format="csr", random_state=np.random.RandomState(24))
+        T = rng.integers(0, 2, size=(m, 3)).astype(float)
+        _, reports = fit_logistic_columns(X, T, TrainConfig(max_iters=1), ["a", "b", "c"])
+        assert all(not r.converged and r.iterations == 1 for r in reports)
+        data = Dataset(s=1, d=d, features=X, labels=T[:, :1].astype(np.uint8))
+        fit = train_multinomial(data, T[:, 1].astype(int), 2, TrainConfig(max_iters=1))
+        assert not fit.report.converged and fit.report.iterations == 1
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import fbetamax
+
+        src = str(Path(fbetamax.__file__).resolve().parents[1])
+        code = "import sys, fbetamax; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
+
 
 class TestTrainConfig:
     def test_rejects_negative_reg(self):
@@ -465,6 +512,29 @@ class TestMultinomial:
         data = _random_dataset(rng, m=10, s=2, d=3)
         with pytest.raises(ValueError, match="class indices"):
             train_multinomial(data, [0, 1, 2, 0, 1, 2, 0, 1, 2, 5], 3, TrainConfig())
+
+    def test_above_cutoff_block_matches_newton_oracle(self):
+        # C*p weights exceed the cutoff, so this block runs batched L-BFGS
+        rng = np.random.default_rng(33)
+        m, d, C, lam = 300, 340, 3, 0.05
+        assert C * (d + 1) > NEWTON_MAX_DIM
+        X = rng.normal(size=(m, d)) / np.sqrt(d)
+        Z = X @ rng.normal(size=(d, C)) * 2.0
+        y = (np.cumsum(np.exp(Z) / np.exp(Z).sum(axis=1, keepdims=True), axis=1)
+             < rng.random((m, 1))).sum(axis=1)
+        data = Dataset(
+            s=1, d=d, features=sparse.csr_matrix(X),
+            labels=tuple(LabelVec((0,)) for _ in range(m)),
+        )
+        fit = train_multinomial(data, y, C, TrainConfig(reg_lambda=lam))
+        assert fit.report.converged, fit.report
+        W = fit.weights
+        Z = X @ W[:, :d].T + W[:, d]
+        P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+        ref = newton_multinomial(X, y, C, lam)
+        Zr = np.hstack([X, np.ones((m, 1))]) @ ref.T
+        P_ref = np.exp(Zr - logsumexp(Zr, axis=1)[:, None])
+        np.testing.assert_allclose(P, P_ref, atol=1e-4)
 
 
 class TestDataset:
