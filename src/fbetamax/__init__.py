@@ -1,7 +1,8 @@
 """Multi-label F-beta learning via calibrated surrogate decomposition.
 
-The pipeline reduces F-beta maximization over s tags to s^2 + 1 binary
-class-probability problems, trains regularized linear models for them, and
+The pipeline reduces F-beta maximization over s tags to 1 + s*|K| binary
+class-probability problems, where K is the set of observed label counts
+(at most s^2 + 1 problems), trains regularized linear models for them, and
 decodes predictions by an exact cubic-time minimization over all labelings.
 """
 

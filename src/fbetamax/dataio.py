@@ -294,9 +294,13 @@ def load_stat_probs(path) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def save_predictions(labelings, path) -> None:
-    """One labeling per line as comma-separated 1-based active tags."""
-    bits = np.array([y.bits for y in labelings], dtype=np.uint8)
+def save_predictions(bits, path) -> None:
+    """One labeling per line as comma-separated 1-based active tags.
+
+    bits is an (m, s) 0/1 matrix, as predict_rows returns, or a sequence of LabelVec.
+    """
+    if not isinstance(bits, np.ndarray):
+        bits = np.array([y.bits for y in bits], dtype=np.uint8)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(bits), _BLOCK_ROWS):
             fh.write("".join(line + "\n" for line in _tag_text(bits[lo:lo + _BLOCK_ROWS])))
@@ -345,10 +349,14 @@ def _header_lines(algo: str, s: int, d: int, beta: float, bias: bool, reg: float
 def save_model(model, path) -> None:
     """Serialize a trained model; the algorithm tag is part of the header."""
     if isinstance(model, LinearModel):
-        counts = sorted({ix.k for ix in model.active_indices if not ix.is_zero})
+        # the file keeps only counts=, and load_model expands it to scfg's coordinates
+        scfg = SurrogateConfig(model.s, model.beta, [ix.k for ix in model.active_indices])
+        if model.active_indices != scfg.active_indices:
+            raise ValueError("the file stores only the count set, so the active coordinates "
+                             "must be those of SurrogateConfig(s, beta, counts)")
         header = _header_lines(
             "surrogate", model.s, model.d, model.beta.beta, model.bias,
-            model.reg_lambda, counts, len(model.active_indices),
+            model.reg_lambda, scfg.counts, len(model.active_indices),
         )
         rows = model.weights
     elif isinstance(model, EfpModel):

@@ -21,6 +21,7 @@ __all__ = [
     "CHUNK_ENTRIES",
     "MAX_BRUTE_S",
     "PROB_TOL",
+    "TIE_RTOL",
     "DecodeInput",
     "chunk_rows",
     "decode_brute",
@@ -31,6 +32,11 @@ __all__ = [
 
 # entries of an estimated mean vector may overshoot [0, 1] by at most this
 PROB_TOL = 1e-9
+
+# objectives within this relative distance of the minimum tie.  All loss
+# coefficients are non-positive, so rounding stays far below it, and exact
+# ties go by the tie rule, not by how each decoder happens to round.
+TIE_RTOL = 1e-12
 
 # enumeration guard: 2^20 candidates is the largest the oracle will scan
 MAX_BRUTE_S = 20
@@ -71,6 +77,12 @@ def _coeff_table(s: int, beta: BetaParam) -> np.ndarray:
     return -(1.0 + beta.beta_sq) / (beta.beta_sq * ks[:, None] + ls[None, :])
 
 
+def _near_min(objs: np.ndarray) -> np.ndarray:
+    """Mask of the entries of each row of objs within TIE_RTOL of the row minimum."""
+    best = objs.min(axis=-1, keepdims=True)
+    return objs <= best + TIE_RTOL * np.abs(best)
+
+
 def chunk_rows(s: int) -> int:
     """Rows per chunk at s tags: about CHUNK_ENTRIES statistic entries each."""
     return max(1, CHUNK_ENTRIES // (s * s + 1))
@@ -86,10 +98,12 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     """Decode a batch of estimated mean vectors.
 
     prob_rows is (m, s^2+1); returns (bits, objectives) where bits is an
-    (m, s) 0/1 matrix and objectives the attained minima of
-    <q, loss_coeffs(yhat)>.  Ties resolve toward fewer active tags and,
-    within a size, toward smaller tag indices.  Rows are decoded in chunks
-    of chunk_rows(s), so temporaries stay O(chunk * s^2) whatever m is.
+    (m, s) 0/1 matrix and objectives the values of <q, loss_coeffs(yhat)>
+    it attains, each within TIE_RTOL of the minimum.  Sizes whose optima
+    lie within TIE_RTOL of the minimum tie; ties resolve toward fewer
+    active tags and, within a size, toward smaller tag indices.  Rows are
+    decoded in chunks of chunk_rows(s), so temporaries stay
+    O(chunk * s^2) whatever m is.
     """
     P = np.asarray(prob_rows, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != s * s + 1:
@@ -110,8 +124,8 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
         # column l-1 after the cumsum holds the optimum over labelings of size l
         best_by_size = np.cumsum(np.sort(T, axis=1), axis=1)
         objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
-        # argmin takes the first minimum, i.e. the smallest size among exact ties
-        choice = np.argmin(objs, axis=1)
+        # argmax takes the first True, i.e. the smallest size among the ties
+        choice = np.argmax(_near_min(objs), axis=1)
         # only the chosen size's column is ranked; the stable sort keeps the
         # smallest tag first among tied per-tag scores
         column = T[np.arange(n), :, np.maximum(choice, 1) - 1]
@@ -146,12 +160,18 @@ def _tie_keys(bits: np.ndarray, s: int) -> np.ndarray:
     return pop * (1 << s) + ((1 << s) - 1 - lex)
 
 
+def _code_bits(codes: np.ndarray, s: int) -> np.ndarray:
+    """(len(codes), s) 0/1 rows; bit j of a code is tag j+1."""
+    return ((codes[:, None] >> np.arange(s, dtype=np.int64)) & 1).astype(np.uint8)
+
+
 def decode_brute(inp: DecodeInput) -> LabelVec:
     """Enumeration oracle for decode_fast; refuses s > MAX_BRUTE_S.
 
     Scans every labeling and evaluates <q, loss_coeffs(yhat)> straight from
-    the coefficient definition.  Exact ties resolve as in decode_rows: toward
-    smaller popcount, then toward smaller tag indices.
+    the coefficient definition.  Objectives within TIE_RTOL of the minimum
+    tie, and ties resolve as in decode_rows: toward smaller popcount, then
+    toward smaller tag indices.
     """
     s = inp.probs.s
     if s > MAX_BRUTE_S:
@@ -159,25 +179,20 @@ def decode_brute(inp: DecodeInput) -> LabelVec:
     q = inp.probs.entries
     if s <= _BRUTE_CACHE_MAX_S:
         bits, coeffs, tie = _enumeration_tables(s, inp.beta.beta)
-        objs = coeffs @ q
-        cand = np.flatnonzero(objs == objs.min())
-        winner = cand[np.argmin(tie[cand])]
-        return LabelVec(tuple(int(b) for b in bits[winner]))
+        cand = np.flatnonzero(_near_min(coeffs @ q))
+        return LabelVec(tuple(int(b) for b in bits[cand[np.argmin(tie[cand])]]))
 
-    best_obj = np.inf
-    best_tie = -1
-    best_bits: np.ndarray | None = None
-    tags = np.arange(s, dtype=np.int64)
-    for start in range(0, 1 << s, _BRUTE_CHUNK):
-        codes = np.arange(start, min(start + _BRUTE_CHUNK, 1 << s), dtype=np.int64)
-        bits = ((codes[:, None] >> tags[None, :]) & 1).astype(np.uint8)
-        objs = loss_coeffs_matrix(bits, inp.beta) @ q
-        tie = _tie_keys(bits, s)
-        cand = np.flatnonzero(objs == objs.min())
-        local = cand[np.argmin(tie[cand])]
-        if objs[local] < best_obj or (objs[local] == best_obj and tie[local] < best_tie):
-            best_obj = float(objs[local])
-            best_tie = int(tie[local])
-            best_bits = bits[local].copy()
-    assert best_bits is not None
-    return LabelVec(tuple(int(b) for b in best_bits))
+    # one objective per labeling, scored chunk by chunk; the coefficient rows
+    # are the large temporaries, so only they stay O(_BRUTE_CHUNK)
+    codes = np.arange(1 << s, dtype=np.int64)
+    objs = np.concatenate([
+        loss_coeffs_matrix(_code_bits(codes[lo:lo + _BRUTE_CHUNK], s), inp.beta) @ q
+        for lo in range(0, codes.size, _BRUTE_CHUNK)
+    ])
+    cand = codes[_near_min(objs)]
+    tie = np.concatenate([
+        _tie_keys(_code_bits(cand[lo:lo + _BRUTE_CHUNK], s), s)
+        for lo in range(0, cand.size, _BRUTE_CHUNK)
+    ])
+    winner = _code_bits(cand[np.argmin(tie)][None], s)[0]
+    return LabelVec(tuple(int(b) for b in winner))

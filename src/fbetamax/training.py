@@ -1,18 +1,18 @@
 """Regularized linear estimation of the per-coordinate class probabilities.
 
 Every active statistic coordinate gets its own binary logistic model over
-the shared sparse features, and all of them are fit by one call that takes
-the whole target matrix; the count-stratified baseline adds softmax blocks.
-Small problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) run
-damped Newton with one Cholesky factorization per subproblem and
-iteration, which reaches the gradient tolerance in a dozen steps.  The
-rest run batched L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989): columns
-advance together in blocks sized by LBFGS_BLOCK_ENTRIES, so each
-evaluation is one sparse product with X and one with its transpose per
-block.  Both solvers share the per-column Armijo search and active set and
-use analytic gradients, so results are deterministic for a fixed dataset
-and configuration, and a column's result does not depend on which columns
-share its batch.
+the shared sparse features, all fit by one call that takes the whole target
+matrix; the count-stratified baseline adds softmax blocks.  Each loss has
+one objective (_logistic_objective, _softmax_objective): values and
+analytic gradients from one sparse product with X and one with its
+transpose, the bias being its own weight row.  Solvers differ only in the
+direction they feed to _descent, the shared per-column Armijo search and
+active set.  Small problems on dense features (NEWTON_MAX_DIM,
+NEWTON_MIN_DENSITY) take damped Newton directions, one Cholesky solve per
+subproblem and iteration with curvature from the current weights; the
+rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45, 1989)
+in blocks of columns sized by LBFGS_BLOCK_ENTRIES.  Results are
+deterministic, and a column's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .decoding import decode_rows, row_chunks
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
@@ -231,12 +231,10 @@ def _use_newton(X: sparse.csr_matrix, unknowns: int, cfg: TrainConfig) -> bool:
     return unknowns <= NEWTON_MAX_DIM and nnz >= NEWTON_MIN_DENSITY * m * p
 
 
-def _design(X: sparse.csr_matrix, bias: bool) -> sparse.csr_matrix:
-    """X with a trailing column of ones when the bias is fit."""
-    if not bias:
-        return X
-    ones = sparse.csr_matrix(np.ones((X.shape[0], 1)))
-    return sparse.hstack([X, ones], format="csr")
+def _dense_design(X: sparse.csr_matrix, bias: bool) -> np.ndarray:
+    """X as a dense array, with a trailing column of ones when the bias is fit."""
+    dense = X.toarray()
+    return np.hstack([dense, np.ones((len(dense), 1))]) if bias else dense
 
 
 def _column_sums(A: np.ndarray) -> np.ndarray:
@@ -272,23 +270,23 @@ def _solve_psd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
     """Line-search descent over n independent parameter columns, each started at zero.
 
-    evaluate(W, cols) returns the objectives (k,), gradients (dim, k) and
-    curvature data (..., k), or None, of columns cols at parameters W
-    (dim, k); direction(active, W, G, curv) returns the (dim, k) search
-    directions of the active columns.  Each column backtracks with its own
-    Armijo step and leaves the active set once its gradient test passes,
-    its step stalls, or its values turn non-finite.  Returns the
-    parameters, objectives, gradients and iteration counts.
+    evaluate(W, cols) returns the objectives (k,) and gradients (dim, k) of
+    columns cols at parameters W (dim, k); direction(active, W, G) returns
+    the (dim, k) search directions of the active columns of W and G.  Each
+    column backtracks with its own Armijo step and leaves the active set
+    once its gradient test passes, its step stalls, or its values turn
+    non-finite.  Returns the parameters, objectives, gradients and
+    iteration counts.
     """
     W = np.zeros((dim, n))
-    f, G, curv = evaluate(W, np.arange(n))
+    f, G = evaluate(W, np.arange(n))
     iters = np.zeros(n, dtype=np.int64)
     # NaN compares false, so a non-finite gradient never enters the loop
     active = np.flatnonzero(np.max(np.abs(G), axis=0) > cfg.grad_tol)
     for _ in range(cfg.max_iters):
         if active.size == 0:
             break
-        D = direction(active, W, G, curv)
+        D = direction(active, W, G)
         slope = _column_sums(G[:, active] * D)
         step = np.ones(active.size)
         moved = np.zeros(active.size, dtype=bool)
@@ -296,15 +294,13 @@ def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
         while todo.size:
             cols = active[todo]
             trial = W[:, cols] + step[todo] * D[:, todo]
-            f_t, G_t, curv_t = evaluate(trial, cols)
+            f_t, G_t = evaluate(trial, cols)
             bound = f[cols] + _ARMIJO * step[todo] * slope[todo] + _ROUNDING * np.abs(f[cols])
             ok = f_t <= bound
             hit = cols[ok]
             W[:, hit] = trial[:, ok]
             f[hit] = f_t[ok]
             G[:, hit] = G_t[:, ok]
-            if curv is not None:
-                curv[..., hit] = curv_t[..., ok]
             moved[todo[ok]] = True
             todo = todo[~ok]
             step[todo] *= 0.5
@@ -314,42 +310,93 @@ def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
     return W, f, G, iters
 
 
-def _newton_directions(direction):
-    """A _descent direction that solves one Newton system per active column."""
-    def directions(active, W, G, curv):
-        return np.stack([direction(curv[..., c], G[:, c]) for c in active], axis=1)
-
-    return directions
-
-
-def _newton_logistic(Xb: sparse.csr_matrix, T: np.ndarray, reg: np.ndarray, cfg: TrainConfig):
-    """Damped Newton for every column of T; Xb already carries the bias column.
-
-    Objectives and gradients go through sparse products with Xb, so each
-    column's arithmetic is the same whichever columns share the batch.
-    """
-    m, p = Xb.shape
-    XbT = Xb.T.tocsr()
-    dense = Xb.toarray()
-    signs = 2.0 * T - 1.0
-    diag = np.diag_indices(p)
+def _logistic_objective(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
+    """_descent's evaluate: ridge-penalized mean logistic loss of T's columns; bias last in W."""
+    m, d = X.shape
+    Xt = X.T.tocsr()
+    lam = cfg.reg_lambda
 
     def evaluate(W, cols):
-        Z = Xb @ W
-        margin = signs[:, cols] * Z
-        loss = np.maximum(0.0, -margin) + np.log1p(np.exp(-np.abs(margin)))
-        P = expit(Z)
-        f = _column_sums(loss) / m + 0.5 * _column_sums(reg[:, None] * W * W)
-        G = XbT @ ((P - T[:, cols]) / m) + reg[:, None] * W
-        return f, G, P * (1.0 - P)
+        Z = X @ W[:d]
+        if cfg.bias:
+            Z += W[d]
+        targets = T[:, cols]
+        # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
+        loss = np.maximum(Z, 0.0)
+        loss -= targets * Z
+        loss += np.log1p(np.exp(-np.abs(Z)))
+        R = expit(Z)
+        R -= targets
+        R /= m
+        f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
+        G = np.empty_like(W)
+        G[:d] = Xt @ R
+        G[:d] += lam * W[:d]
+        if cfg.bias:
+            G[d] = _column_sums(R)
+        return f, G
 
-    def direction(q, g):
-        root = dense * np.sqrt(q / m)[:, None]
+    return evaluate
+
+
+def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of Z, which is shifted in place by its row maxima.
+
+    Returns the probabilities and the log of each shifted row's sum of
+    exponentials, so log-softmax is Z - that log after the call.
+    """
+    Z -= Z.max(axis=1, keepdims=True)
+    P = np.exp(Z)
+    sums = P.sum(axis=1, keepdims=True)
+    P /= sums
+    return P, np.log(sums[:, 0])
+
+
+def _softmax_objective(X: sparse.csr_matrix, labels: np.ndarray, C: int, cfg: TrainConfig):
+    """_descent's evaluate: ridge-penalized mean cross-entropy of one column of C x p weights."""
+    m, d = X.shape
+    p = d + int(cfg.bias)
+    Xt = X.T.tocsr()
+    rows = np.arange(m)
+    lam = cfg.reg_lambda
+
+    def evaluate(W, cols):
+        V = W[:, 0].reshape(C, p)
+        Z = X @ V[:, :d].T
+        if cfg.bias:
+            Z += V[:, d]
+        P, log_sums = _shifted_softmax(Z)
+        f = np.mean(log_sums - Z[rows, labels]) + 0.5 * lam * float(np.sum(V[:, :d] * V[:, :d]))
+        P[rows, labels] -= 1.0
+        P /= m
+        G = np.empty((C, p))
+        G[:, :d] = (Xt @ P).T + lam * V[:, :d]
+        if cfg.bias:
+            G[:, d] = P.sum(axis=0)
+        return np.array([f]), G.reshape(C * p, 1)
+
+    return evaluate
+
+
+def _newton_logistic(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig):
+    """Newton directions of _logistic_objective, one Cholesky solve per active column.
+
+    Each column's curvature comes from its current weights through one
+    matrix-vector product with the dense design, so its direction does not
+    depend on which columns share the batch.
+    """
+    dense = _dense_design(X, cfg.bias)
+    m, p = dense.shape
+    diag = np.diag_indices(p)
+
+    def solve(w, g):
+        P = expit(dense @ w)
+        root = dense * np.sqrt(P * (1.0 - P) / m)[:, None]
         H = root.T @ root
         H[diag] += reg
         return _solve_psd(H, -g)
 
-    return _descent(evaluate, _newton_directions(direction), p, T.shape[1], cfg)
+    return lambda active, W, G: np.stack([solve(W[:, c], G[:, c]) for c in active], axis=1)
 
 
 def _sum_zero_basis(C: int) -> np.ndarray:
@@ -360,10 +407,8 @@ def _sum_zero_basis(C: int) -> np.ndarray:
     return basis / np.sqrt(k * (k + 1))
 
 
-def _newton_multinomial(
-    Xb: sparse.csr_matrix, labels: np.ndarray, C: int, reg: np.ndarray, cfg: TrainConfig
-):
-    """Damped Newton on one softmax block; parameters are the C x p weights, flattened.
+def _newton_softmax(X: sparse.csr_matrix, C: int, reg: np.ndarray, cfg: TrainConfig):
+    """Newton directions of _softmax_objective for its one parameter column.
 
     Shifting every class by one weight vector leaves the softmax unchanged,
     so the loss Hessian vanishes on those directions.  Iterates and
@@ -371,28 +416,16 @@ def _newton_multinomial(
     coordinates E in the sum-zero subspace, W = basis @ E, where the
     Hessian has no null directions.
     """
-    m, p = Xb.shape
-    XbT = Xb.T.tocsr()
-    dense = Xb.toarray()
-    rows = np.arange(m)
+    dense = _dense_design(X, cfg.bias)
+    m, p = dense.shape
     k = C - 1
     basis = _sum_zero_basis(C)
     # products of basis columns a, b per class, for the reduced weights below
     basis_pairs = (basis[:, :, None] * basis[:, None, :]).reshape(C, k * k)
     diag = np.diag_indices(k * p)
 
-    def evaluate(W, cols):
-        V = W[:, 0].reshape(C, p)
-        Z = Xb @ V.T
-        lse = logsumexp(Z, axis=1)
-        f = np.mean(lse - Z[rows, labels]) + 0.5 * float(np.sum(reg * V * V))
-        P = np.exp(Z - lse[:, None])
-        R = P.copy()
-        R[rows, labels] -= 1.0
-        G = (XbT @ (R / m)).T + reg * V
-        return np.array([f]), G.reshape(C * p, 1), P[:, :, None]
-
-    def direction(P, g):
+    def direction(active, W, G):
+        P = _shifted_softmax(dense @ W[:, 0].reshape(C, p).T)[0]
         # per row, basis^T (diag P_i - P_i P_i^T) basis / m
         PB = P @ basis
         weights = (P @ basis_pairs).reshape(m, k, k) - PB[:, :, None] * PB[:, None, :]
@@ -405,10 +438,10 @@ def _newton_multinomial(
                 H[b, :, a, :] = block.T
         H = H.reshape(k * p, k * p)
         H[diag] += np.tile(reg, k)
-        E = _solve_psd(H, -(basis.T @ g.reshape(C, p)).ravel())
-        return (basis @ E.reshape(k, p)).ravel()
+        E = _solve_psd(H, -(basis.T @ G[:, 0].reshape(C, p)).ravel())
+        return (basis @ E.reshape(k, p)).reshape(C * p, 1)
 
-    return _descent(evaluate, _newton_directions(direction), C * p, 1, cfg)
+    return direction
 
 
 class _LimitedMemory:
@@ -439,7 +472,7 @@ class _LimitedMemory:
                 self.rho[new] = self.rho[old]
                 self.gamma[new] = self.gamma[old]
 
-    def __call__(self, active, W, G, curv):
+    def __call__(self, active, W, G):
         Wa = np.ascontiguousarray(W[:, active].T)
         Ga = np.ascontiguousarray(G[:, active].T)
         k = active.size
@@ -504,35 +537,6 @@ def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
     return W, f, G, iters
 
 
-def _lbfgs_logistic(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
-    """Batched L-BFGS for every column of T; the bias is its own weight row."""
-    m, d = X.shape
-    Xt = X.T.tocsr()
-    lam = cfg.reg_lambda
-
-    def evaluate(W, cols):
-        Z = X @ W[:d]
-        if cfg.bias:
-            Z += W[d]
-        targets = T[:, cols]
-        # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
-        loss = np.maximum(Z, 0.0)
-        loss -= targets * Z
-        loss += np.log1p(np.exp(-np.abs(Z)))
-        R = expit(Z)
-        R -= targets
-        R /= m
-        f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
-        G = np.empty_like(W)
-        G[:d] = Xt @ R
-        G[:d] += lam * W[:d]
-        if cfg.bias:
-            G[d] = _column_sums(R)
-        return f, G, None
-
-    return _lbfgs(evaluate, d + int(cfg.bias), T.shape[1], m, cfg)
-
-
 def fit_logistic_columns(
     X, T: np.ndarray, cfg: TrainConfig, names: Sequence[str]
 ) -> tuple[np.ndarray, list[SubproblemReport]]:
@@ -557,11 +561,13 @@ def fit_logistic_columns(
     if len(names) != T.shape[1]:
         raise ValueError("one name per target column is required")
     reg = _ridge(d, cfg)
+    n = T.shape[1]
+    evaluate = _logistic_objective(X, T, cfg)
     if _use_newton(X, reg.size, cfg):
-        W, f, G, iters = _newton_logistic(_design(X, cfg.bias), T, reg, cfg)
+        W, f, G, iters = _descent(evaluate, _newton_logistic(X, reg, cfg), reg.size, n, cfg)
     else:
-        W, f, G, iters = _lbfgs_logistic(X, T, cfg)
-    weights = np.zeros((T.shape[1], d + 1))
+        W, f, G, iters = _lbfgs(evaluate, reg.size, n, m, cfg)
+    weights = np.zeros((n, d + 1))
     weights[:, : reg.size] = W.T
     reports = [_report(name, f[c], G[:, c], iters[c], cfg) for c, name in enumerate(names)]
     return weights, reports
@@ -695,52 +701,15 @@ def train_multinomial(
         raise ValueError(f"class indices must lie in 0..{n_classes - 1}")
     X = data.features
     reg = _ridge(data.d, cfg)
-    if _use_newton(X, n_classes * reg.size, cfg):
-        W, f, G, iters = _newton_multinomial(_design(X, cfg.bias), labels, n_classes, reg, cfg)
+    dim = n_classes * reg.size
+    evaluate = _softmax_objective(X, labels, n_classes, cfg)
+    if _use_newton(X, dim, cfg):
+        W, f, G, iters = _descent(evaluate, _newton_softmax(X, n_classes, reg, cfg), dim, 1, cfg)
     else:
-        W, f, G, iters = _lbfgs_multinomial(X, labels, n_classes, cfg)
+        W, f, G, iters = _lbfgs(evaluate, dim, 1, data.m, cfg)
     weights = np.zeros((n_classes, data.d + 1))
     weights[:, : reg.size] = W.reshape(n_classes, reg.size)
     return MultinomialFit(weights=weights, report=_report(name, f[0], G, iters[0], cfg))
-
-
-def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of Z, which is shifted in place by its row maxima.
-
-    Returns the probabilities and the log of each shifted row's sum of
-    exponentials, so log-softmax is Z - that log after the call.
-    """
-    Z -= Z.max(axis=1, keepdims=True)
-    P = np.exp(Z)
-    sums = P.sum(axis=1, keepdims=True)
-    P /= sums
-    return P, np.log(sums[:, 0])
-
-
-def _lbfgs_multinomial(X: sparse.csr_matrix, labels: np.ndarray, C: int, cfg: TrainConfig):
-    """L-BFGS on one softmax block as one parameter column of C x p weights."""
-    m, d = X.shape
-    p = d + int(cfg.bias)
-    Xt = X.T.tocsr()
-    rows = np.arange(m)
-    lam = cfg.reg_lambda
-
-    def evaluate(W, cols):
-        V = W[:, 0].reshape(C, p)
-        Z = X @ V[:, :d].T
-        if cfg.bias:
-            Z += V[:, d]
-        P, log_sums = _shifted_softmax(Z)
-        f = np.mean(log_sums - Z[rows, labels]) + 0.5 * lam * float(np.sum(V[:, :d] * V[:, :d]))
-        P[rows, labels] -= 1.0
-        P /= m
-        G = np.empty((C, p))
-        G[:, :d] = (Xt @ P).T + lam * V[:, :d]
-        if cfg.bias:
-            G[:, d] = P.sum(axis=0)
-        return np.array([f]), G.reshape(C * p, 1), None
-
-    return _lbfgs(evaluate, C * p, 1, m, cfg)
 
 
 def multinomial_prob_rows(weights: np.ndarray, X, bias: bool = True) -> np.ndarray:

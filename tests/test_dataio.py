@@ -25,11 +25,11 @@ from fbetamax.dataio import (
     save_predictions,
     save_stat_probs,
 )
-from fbetamax.fmeasure import BetaParam, LabelVec
+from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.surrogate import SurrogateConfig
 from fbetamax.dataio import _BLOCK_ROWS as B
 from fbetamax.synth import build_distribution, sample_batch, to_dataset
-from fbetamax.training import Dataset, TrainConfig, train_surrogate
+from fbetamax.training import Dataset, LinearModel, TrainConfig, train_surrogate
 
 B1 = BetaParam(1.0)
 
@@ -176,15 +176,23 @@ class TestStatProbSidecar:
 
 class TestPredictions:
     def test_round_trip_with_empty_labelings(self, tmp_path):
-        labelings = [LabelVec((1, 0, 1)), LabelVec((0, 0, 0)), LabelVec((0, 1, 0))]
+        bits = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=np.uint8)
         p = tmp_path / "pred.txt"
-        save_predictions(labelings, p)
-        assert load_predictions(p, 3) == labelings
+        save_predictions(bits, p)
+        assert load_predictions(p, 3) == [LabelVec((1, 0, 1)), LabelVec((0, 0, 0)),
+                                          LabelVec((0, 1, 0))]
 
     def test_empty_list_round_trips(self, tmp_path):
         p = tmp_path / "none.txt"
-        save_predictions([], p)
+        save_predictions(np.zeros((0, 3), dtype=np.uint8), p)
         assert load_predictions(p, 3) == []
+
+    def test_labelvec_sequence_writes_the_same_bytes(self, tmp_path):
+        bits = np.random.default_rng(7).integers(0, 2, size=(9, 4)).astype(np.uint8)
+        a, b = tmp_path / "a.mlpred", tmp_path / "b.mlpred"
+        save_predictions(bits, a)
+        save_predictions([LabelVec(tuple(row)) for row in bits.tolist()], b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bad_token(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -225,6 +233,17 @@ class TestModelRoundTrip:
         save_model(model, p)
         back = load_model(p)
         assert back.active_indices == model.active_indices
+
+    def test_save_rejects_coordinates_the_counts_do_not_rebuild(self, tmp_path):
+        # the file keeps only counts=1, which reloads as (zero, (1,1), (2,1)):
+        # these rows would land with coordinates 0 and 1 swapped
+        active = (StatIndex.pair(1, 1), StatIndex.zero(), StatIndex.pair(2, 1))
+        model = LinearModel(s=2, d=3, beta=B1, active_indices=active,
+                            weights=np.arange(12.0).reshape(3, 4), bias=True, reg_lambda=0.0)
+        p = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match="count set"):
+            save_model(model, p)
+        assert not p.exists()
 
     def test_efp_model(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -753,7 +772,7 @@ class TestBlockedPredictions:
     def test_blocks_write_the_oracle_bytes(self, tmp_path, m):
         bits = np.random.default_rng(m).integers(0, 2, size=(m, 4)).astype(np.uint8)
         p = tmp_path / "a.mlpred"
-        save_predictions([LabelVec(tuple(row)) for row in bits.tolist()], p)
+        save_predictions(bits, p)
         assert p.read_text() == _oracle_prediction_text(bits.tolist())
         back = load_predictions(p, 4)
         assert [y.bits for y in back] == [tuple(row) for row in bits.tolist()]

@@ -90,6 +90,15 @@ class TestWorkedCases:
         assert decode_fast(inp) == LabelVec((1, 1, 0))
         assert decode_brute(inp) == LabelVec((1, 1, 0))
 
+    def test_tie_across_sizes_keeps_fewer_tags(self):
+        # sizes 2 and 3 both reach -67/30 in exact arithmetic, but their
+        # rounded sums differ; both decoders must still keep the smaller size
+        q = StatVec(3, np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+        inp = DecodeInput(q, B1)
+        assert decode_fast(inp) == LabelVec((1, 1, 0))
+        assert decode_brute(inp) == LabelVec((1, 1, 0))
+        assert decode_rows(q.entries[None, :], 3, B1)[1][0] == pytest.approx(-67 / 30, rel=1e-15)
+
     @pytest.mark.parametrize("s", [20, 50])
     def test_alike_tags_fill_from_the_smallest_index(self, s):
         # each tag takes one of three per-count columns, with mass on the
@@ -169,6 +178,16 @@ class TestOracleEquivalence:
                     )
                     assert expected_fbeta(q, got, beta) >= best - 1e-12
 
+    def test_half_integer_sweep_matches_enumeration(self):
+        # {0, 1/2, 1} entries make exact ties, across sizes and within them, common
+        rng = np.random.default_rng(0)
+        for s in range(1, 9):
+            for beta in BETAS:
+                Q = rng.choice([0.0, 0.5, 1.0], size=(450, s * s + 1))
+                bits, _ = decode_rows(Q, s, beta)
+                brute = np.array([decode_brute(DecodeInput(StatVec(s, q), beta)).bits for q in Q])
+                np.testing.assert_array_equal(bits, brute, err_msg=f"s={s} beta={beta.beta}")
+
 
 class TestChunkBoundaries:
     @pytest.mark.parametrize("s", [1, 6, 50])
@@ -243,3 +262,6 @@ class TestScaling:
         q = StatVec(s, random_valid_means(s, rng))
         inp = DecodeInput(q, B1)
         assert decode_brute(inp) == decode_fast(inp)
+        # all-zero means tie every labeling at 0, and the empty one wins
+        empty = DecodeInput(StatVec(s, np.zeros(s * s + 1)), B1)
+        assert decode_brute(empty) == decode_fast(empty) == LabelVec((0,) * s)
