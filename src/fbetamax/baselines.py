@@ -10,13 +10,12 @@ per-tag marginals at 1/2 and ignores the F-measure structure entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .fmeasure import BetaParam, StatIndex
+from .fmeasure import BetaParam
+from .surrogate import SurrogateConfig, coordinates
 from .training import (
     Dataset,
     SubproblemReport,
@@ -76,17 +75,10 @@ class EfpModel:
         object.__setattr__(self, "label_weights", label_w)
         object.__setattr__(self, "counts", counts)
 
-    @cached_property
+    @property
     def _pair_flats(self) -> np.ndarray:
-        flats = np.array(
-            [
-                [StatIndex.pair(j, k).flat(self.s) for k in self.counts]
-                for j in range(1, self.s + 1)
-            ],
-            dtype=np.intp,
-        )
-        flats.flags.writeable = False
-        return flats
+        """(s, |K|) flat positions of the pairs (j, k), row j-1 for tag j."""
+        return coordinates(self.s, self.counts)[1][1:].reshape(self.s, len(self.counts))
 
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means assembled from the probability blocks, chunk by chunk."""
@@ -111,7 +103,7 @@ def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
     """Fit the count-stratified baseline on the observed counts of the sample."""
     if data.m == 0:
         raise ValueError("cannot train on an empty dataset")
-    counts = tuple(sorted(k for k in data.observed_counts if k >= 1))
+    counts = SurrogateConfig.for_counts(data.s, data.observed_counts, beta).counts
     popcounts = data.bits.sum(axis=1)
     zero_weights, reports = fit_logistic_columns(
         data.features, (popcounts == 0)[:, None], cfg, ["zero"]
@@ -119,8 +111,9 @@ def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
     # class of an active tag: the position of its row's count among counts
     class_of_count = np.zeros(data.s + 1, dtype=np.intp)
     class_of_count[list(counts)] = np.arange(1, len(counts) + 1)
-    label_weights = np.empty((data.s, len(counts) + 1, data.d + 1))
-    for j in range(1, data.s + 1):
+    # with no positive count every tag block has one class, probability 1: nothing to fit
+    label_weights = np.zeros((data.s, len(counts) + 1, data.d + 1))
+    for j in range(1, data.s + 1) if counts else ():
         class_of = np.where(data.bits[:, j - 1] == 1, class_of_count[popcounts], 0)
         fit = train_multinomial(
             data, class_of, len(counts) + 1, cfg, name=f"tag {j}"

@@ -61,18 +61,7 @@ class ConsistencyRow:
     unconverged: dict[str, tuple[str, ...]]
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.m),
-                f"{self.f1_surrogate:.12g}",
-                f"{self.f1_efp:.12g}",
-                f"{self.f1_br:.12g}",
-                f"{self.f1_bayes:.12g}",
-                f"{self.psi_regret:.12g}",
-                f"{self.regret_bound:.12g}",
-                str(int(self.bound_ok)),
-            ]
-        )
+        return ",".join(evaluation._cell(getattr(self, key)) for key in CONSISTENCY_CSV_COLUMNS)
 
 
 def run_consistency(

@@ -349,31 +349,17 @@ def _header_lines(algo: str, s: int, d: int, beta: float, bias: bool, reg: float
 def save_model(model, path) -> None:
     """Serialize a trained model; the algorithm tag is part of the header."""
     if isinstance(model, LinearModel):
-        # the file keeps only counts=, and load_model expands it to scfg's coordinates
-        scfg = SurrogateConfig(model.s, model.beta, [ix.k for ix in model.active_indices])
-        if model.active_indices != scfg.active_indices:
-            raise ValueError("the file stores only the count set, so the active coordinates "
-                             "must be those of SurrogateConfig(s, beta, counts)")
-        header = _header_lines(
-            "surrogate", model.s, model.d, model.beta.beta, model.bias,
-            model.reg_lambda, scfg.counts, len(model.active_indices),
-        )
-        rows = model.weights
+        algo, beta, counts, rows = "surrogate", model.beta.beta, model.counts, model.weights
     elif isinstance(model, EfpModel):
-        header = _header_lines(
-            "efp", model.s, model.d, model.beta.beta, model.bias,
-            model.reg_lambda, model.counts,
-            1 + model.s * (1 + len(model.counts)),
-        )
+        algo, beta, counts = "efp", model.beta.beta, model.counts
         rows = np.vstack([model.zero_weights,
                           model.label_weights.reshape(-1, model.label_weights.shape[-1])])
     elif isinstance(model, BrModel):
-        header = _header_lines(
-            "br", model.s, model.d, 1.0, model.bias, model.reg_lambda, (), model.s,
-        )
-        rows = model.weights
+        algo, beta, counts, rows = "br", 1.0, (), model.weights
     else:
         raise ValueError(f"cannot serialize a {type(model).__name__}")
+    header = _header_lines(algo, model.s, model.d, beta, model.bias, model.reg_lambda,
+                           counts, len(rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in header) + _float_text(rows))
 
@@ -399,13 +385,26 @@ def _parse_model_header(lines: list[str]) -> dict:
         )
     except ValueError:
         raise DataFormatError("malformed model header value") from None
-    if fields["algo"] not in ALGORITHMS:
-        raise DataFormatError(f"unknown algorithm tag {fields['algo']!r}")
+    algo, s, counts = fields["algo"], fields["s"], fields["counts"]
+    if algo not in ALGORITHMS:
+        raise DataFormatError(f"unknown algorithm tag {algo!r}")
+    if algo == "br" and counts:
+        raise DataFormatError("line 8: a br model has no counts")
+    if counts != tuple(sorted(set(counts))) or any(not 1 <= k <= s for k in counts):
+        raise DataFormatError(f"line 8: counts must be strictly increasing within 1..{s}")
+    n_vectors = {"surrogate": 1 + s * len(counts), "efp": 1 + s * (1 + len(counts)), "br": s}
+    if fields["vectors"] != n_vectors[algo]:
+        raise DataFormatError(
+            f"line 9: a {algo} model with s={s} and {len(counts)} counts has "
+            f"{n_vectors[algo]} vectors, not {fields['vectors']}"
+        )
     return fields
 
 
 def load_model(path, expected_algo: str | None = None):
-    """Load a model file; raises on version/tag mismatch or truncation."""
+    """Load a model file; raises on version/tag mismatch, truncation, or a header whose
+    counts= or vectors= does not fit its algorithm.
+    """
     lines = _read_lines(path)
     fields = _parse_model_header(lines)
     if expected_algo is not None and fields["algo"] != expected_algo:
@@ -429,28 +428,19 @@ def load_model(path, expected_algo: str | None = None):
         raise DataFormatError("bad float in model body") from None
     if rows.shape != (fields["vectors"], width):
         raise DataFormatError(f"weight vectors must have {width} entries")
-    s, d = fields["s"], fields["d"]
-    algo = fields["algo"]
-    if algo == "surrogate":
-        scfg_counts = fields["counts"]
-        active = SurrogateConfig.for_counts(
-            s, scfg_counts, BetaParam(fields["beta"])
-        ).active_indices
+    s, d, counts = fields["s"], fields["d"], fields["counts"]
+    if fields["algo"] == "br":
+        return BrModel(s=s, d=d, weights=rows, bias=fields["bias"], reg_lambda=fields["reg"])
+    beta = BetaParam(fields["beta"])
+    if fields["algo"] == "surrogate":
         return LinearModel(
-            s=s, d=d, beta=BetaParam(fields["beta"]), active_indices=active,
+            s=s, d=d, beta=beta, active_indices=SurrogateConfig(s, beta, counts).active_indices,
             weights=rows, bias=fields["bias"], reg_lambda=fields["reg"],
         )
-    if algo == "efp":
-        n_counts = len(fields["counts"])
-        per_tag = 1 + n_counts
-        return EfpModel(
-            s=s, d=d, beta=BetaParam(fields["beta"]), counts=fields["counts"],
-            zero_weights=rows[0],
-            label_weights=rows[1:].reshape(s, per_tag, width),
-            bias=fields["bias"], reg_lambda=fields["reg"],
-        )
-    return BrModel(
-        s=s, d=d, weights=rows, bias=fields["bias"], reg_lambda=fields["reg"],
+    return EfpModel(
+        s=s, d=d, beta=beta, counts=counts, zero_weights=rows[0],
+        label_weights=rows[1:].reshape(s, 1 + len(counts), width),
+        bias=fields["bias"], reg_lambda=fields["reg"],
     )
 
 

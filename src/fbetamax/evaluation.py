@@ -54,44 +54,26 @@ class EvalReport:
         "bound_satisfied",
     )
 
-    def _values(self) -> tuple:
-        return (
-            self.m_test,
-            self.mean_f,
-            self.mean_precision,
-            self.mean_recall,
-            self.f_regret,
-            self.psi_regret,
-            self.bound,
-            self.bound_satisfied,
-        )
+    def _cells(self) -> list[str]:
+        return [_cell(getattr(self, key)) for key in self.CSV_COLUMNS]
 
     def to_kv(self) -> str:
         """Flat key=value block, one field per line, empty for absent fields."""
-        lines = []
-        for key, val in zip(self.CSV_COLUMNS, self._values()):
-            if val is None:
-                lines.append(f"{key}=")
-            elif isinstance(val, bool):
-                lines.append(f"{key}={int(val)}")
-            elif isinstance(val, int):
-                lines.append(f"{key}={val}")
-            else:
-                lines.append(f"{key}={val:.12g}")
-        return "\n".join(lines)
+        return "\n".join(f"{key}={cell}" for key, cell in zip(self.CSV_COLUMNS, self._cells()))
 
     def to_csv_row(self) -> str:
-        cells = []
-        for val in self._values():
-            if val is None:
-                cells.append("")
-            elif isinstance(val, bool):
-                cells.append(str(int(val)))
-            elif isinstance(val, int):
-                cells.append(str(val))
-            else:
-                cells.append(f"{val:.12g}")
-        return ",".join(cells)
+        return ",".join(self._cells())
+
+
+def _cell(val) -> str:
+    """One report value as text: None empty, bool 0/1, int as is, float to 12 digits."""
+    if val is None:
+        return ""
+    if isinstance(val, bool):
+        return str(int(val))
+    if isinstance(val, int):
+        return str(val)
+    return f"{val:.12g}"
 
 
 def _as_bit_matrix(labelings: Sequence[LabelVec] | np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ whose sigmoid-inverted scores converge to the statistics' conditional means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +22,29 @@ from .losses import logistic_gradient, logistic_loss
 __all__ = [
     "SurrogateConfig",
     "binary_targets",
+    "coordinates",
     "surrogate_gradient",
     "surrogate_loss",
 ]
+
+
+@lru_cache(maxsize=128)
+def coordinates(s: int, counts: tuple[int, ...]) -> tuple[tuple[StatIndex, ...], np.ndarray]:
+    """The active coordinates of the count set counts, as indices and as flat positions.
+
+    counts must be the normalized count set of a SurrogateConfig (strictly
+    increasing, within 1..s).  The zero slot comes first, then (j, k) for
+    every tag j and count k with j outer, so entries 1..|K| are (1, k) for
+    each k in counts.  The results are cached, so equal count sets share the
+    very same tuple and read-only array.
+    """
+    pairs = (StatIndex.pair(j, k) for j in range(1, s + 1) for k in counts)
+    # (j, k) sits at 1 + (j-1)*s + (k-1); the zero slot at 0
+    ks = np.asarray(counts, dtype=np.intp)
+    flats = np.zeros(1 + s * len(ks), dtype=np.intp)
+    flats[1:] = (s * np.arange(s)[:, None] + ks).ravel()
+    flats.flags.writeable = False
+    return (StatIndex.zero(), *pairs), flats
 
 
 @dataclass(frozen=True)
@@ -35,7 +55,9 @@ class SurrogateConfig:
     pairs (j, k) for all tags j.  Training only the counts observed in a
     sample keeps the reduction at 1 + s*|K| subproblems instead of s^2 + 1.
     counts is kept sorted and duplicate-free; counts below 1 are dropped,
-    since the zero slot is always active.
+    since the zero slot is always active.  This normalized counts is the one
+    encoding of K: models store it, and the coordinates come from
+    coordinates(s, counts).
     """
 
     s: int
@@ -59,17 +81,14 @@ class SurrogateConfig:
         """Active set {zero} + all tags for each count in counts (count 0 is the zero slot)."""
         return cls(s, beta, tuple(counts))
 
-    @cached_property
+    @property
     def active_indices(self) -> tuple[StatIndex, ...]:
         """The zero slot, then (j, k) for every tag j and count k, in flat order."""
-        pairs = (StatIndex.pair(j, k) for j in range(1, self.s + 1) for k in self.counts)
-        return (StatIndex.zero(), *pairs)
+        return coordinates(self.s, self.counts)[0]
 
-    @cached_property
+    @property
     def active_flats(self) -> np.ndarray:
-        flats = np.array([ix.flat(self.s) for ix in self.active_indices], dtype=np.intp)
-        flats.flags.writeable = False
-        return flats
+        return coordinates(self.s, self.counts)[1]
 
     def n_subproblems(self) -> int:
         return len(self.active_indices)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import takewhile
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.special import expit
 
 from .decoding import decode_rows, row_chunks
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
-from .surrogate import SurrogateConfig
+from .surrogate import SurrogateConfig, coordinates
 
 __all__ = [
     "Dataset",
@@ -595,6 +596,9 @@ class LinearModel:
 
     weights has one row per active coordinate, each of length d+1 with the
     bias last.  Inactive coordinates get no score and probability exactly 0.
+    active_indices must be SurrogateConfig(s, beta, counts).active_indices
+    for some count set; counts, read back from it, is the one encoding of K,
+    and active_flats comes from surrogate.coordinates(s, counts).
     """
 
     s: int
@@ -605,23 +609,32 @@ class LinearModel:
     bias: bool
     reg_lambda: float
     reports: tuple[SubproblemReport, ...] = ()
+    counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        active = tuple(self.active_indices)
+        # entries 1..|K| of a count set's coordinates are (1, k) for each k in K
+        scfg = SurrogateConfig(
+            self.s, self.beta, [ix.k for ix in takewhile(lambda ix: ix.j == 1, active[1:])]
+        )
+        # the cache hands equal count sets the same StatIndex objects, so this is cheap
+        if active != scfg.active_indices:
+            raise ValueError("active_indices must be SurrogateConfig(s, beta, counts)"
+                             ".active_indices for one count set")
         weights = np.array(self.weights, dtype=np.float64)
-        expected = (len(self.active_indices), self.d + 1)
+        expected = (len(active), self.d + 1)
         if weights.shape != expected:
             raise ValueError(f"weights must have shape {expected}, got {weights.shape}")
         if not np.all(np.isfinite(weights)):
             raise ValueError("model weights must be finite")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "active_indices", tuple(self.active_indices))
+        object.__setattr__(self, "active_indices", scfg.active_indices)
+        object.__setattr__(self, "counts", scfg.counts)
 
-    @cached_property
+    @property
     def active_flats(self) -> np.ndarray:
-        flats = np.array([ix.flat(self.s) for ix in self.active_indices], dtype=np.intp)
-        flats.flags.writeable = False
-        return flats
+        return coordinates(self.s, self.counts)[1]
 
     @cached_property
     def _feature_weights(self) -> np.ndarray:

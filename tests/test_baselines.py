@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.special import expit
 
 from fbetamax.baselines import BrModel, EfpModel, train_br, train_efp
+from fbetamax.dataio import load_model, save_model
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.training import Dataset, TrainConfig, multinomial_prob_rows
@@ -34,6 +35,21 @@ class TestEfpModel:
         assert model.counts == (1, 2)
         assert model.label_weights.shape == (3, 3, 5)
         assert len(model.reports) == 1 + 3
+
+    def test_all_empty_sample_trains_one_class_blocks(self, tmp_path):
+        # K is empty: no softmax block has two classes, so none is solved
+        rng = np.random.default_rng(7)
+        X = sparse.csr_matrix(rng.normal(size=(3, 2)))
+        data = Dataset(s=2, d=2, features=X, labels=(LabelVec((0, 0)),) * 3)
+        model = train_efp(data, TrainConfig(reg_lambda=0.1), B1)
+        assert model.counts == ()
+        assert model.label_weights.shape == (2, 1, 3)
+        assert [r.name for r in model.reports] == ["zero"]
+        path = tmp_path / "efp.mlmodel"
+        save_model(model, path)
+        assert len(path.read_text().splitlines()) == 9 + 1 + 2
+        back = load_model(path, expected_algo="efp")
+        np.testing.assert_array_equal(back.predict_rows(X), np.zeros((3, 2), dtype=np.uint8))
 
     def test_per_tag_block_probabilities_sum_to_one(self):
         rng = np.random.default_rng(1)

@@ -7,13 +7,17 @@ import pytest
 
 from fbetamax.cli import (
     CONSISTENCY_CSV_COLUMNS,
+    ConsistencyRow,
     _parse_grid,
     _parse_sizes,
     build_parser,
     main,
     run_consistency,
 )
-from fbetamax.dataio import load_dataset, load_predictions
+from fbetamax.dataio import load_dataset, load_predictions, save_dataset, save_predictions
+from fbetamax.evaluation import EvalReport
+from fbetamax.fmeasure import LabelVec
+from fbetamax.training import Dataset
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -140,6 +144,50 @@ class TestPipeline:
         assert code == 0
         # s = 3: zero slot + 9 pairs
         assert stdout.count("subproblem") == 10
+
+
+class TestReportBytes:
+    """The exact text of the reports; downstream scripts parse mean_f= and the CSV cells."""
+
+    def test_evaluate_prints_and_writes_fixed_bytes(self, tmp_path, capsys):
+        truth = (LabelVec((1, 1, 0)), LabelVec((0, 0, 0)), LabelVec((0, 0, 1)))
+        save_dataset(Dataset(s=3, d=1, features=np.ones((3, 1)), labels=truth),
+                     tmp_path / "test.mlsparse")
+        save_predictions([LabelVec((1, 0, 0)), LabelVec((0, 0, 0)), LabelVec((0, 1, 1))],
+                         tmp_path / "pred.mlpred")
+        code, stdout, err = _run(capsys, "evaluate", "--pred", str(tmp_path / "pred.mlpred"),
+                                 "--input", str(tmp_path / "test.mlsparse"),
+                                 "--out", str(tmp_path / "report.csv"))
+        assert code == 0, err
+        assert stdout == (
+            "m_test=3\nmean_f=0.777777777778\nmean_precision=0.833333333333\n"
+            "mean_recall=0.833333333333\nf_regret=\npsi_regret=\nbound=\nbound_satisfied=\n"
+        )
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"m_test,mean_f,mean_precision,mean_recall,f_regret,psi_regret,bound,bound_satisfied\n"
+            b"3,0.777777777778,0.833333333333,0.833333333333,,,,\n"
+        )
+
+    def test_full_report_and_consistency_row_bytes(self):
+        rep = EvalReport(m_test=2, mean_f=0.1 + 0.2, mean_precision=np.float64(1.0 / 3.0),
+                         mean_recall=1.0, f_regret=-1e-20,
+                         psi_regret=np.float64(28.817718856512345),
+                         bound=123456789012345.0, bound_satisfied=False)
+        assert rep.to_kv() == (
+            "m_test=2\nmean_f=0.3\nmean_precision=0.333333333333\nmean_recall=1\n"
+            "f_regret=-1e-20\npsi_regret=28.8177188565\nbound=1.23456789012e+14\n"
+            "bound_satisfied=0"
+        )
+        assert rep.to_csv_row() == (
+            "2,0.3,0.333333333333,1,-1e-20,28.8177188565,1.23456789012e+14,0"
+        )
+        row = ConsistencyRow(
+            m=60, f1_surrogate=0.1 + 0.2, f1_efp=1.0 / 3.0, f1_br=1.0,
+            f1_bayes=np.float64(2.0 / 3.0), psi_regret=28.817718856512345,
+            regret_bound=np.float64(1e-20), bound_ok=True, f_regret=0.5, mae_surrogate=0.0,
+            mae_efp=0.0, efp_agreement=1.0, unconverged={},
+        )
+        assert row.to_csv_row() == "60,0.3,0.333333333333,1,0.666666666667,28.8177188565,1e-20,1"
 
 
 class TestConvert:

@@ -25,11 +25,11 @@ from fbetamax.dataio import (
     save_predictions,
     save_stat_probs,
 )
-from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
+from fbetamax.fmeasure import BetaParam, LabelVec
 from fbetamax.surrogate import SurrogateConfig
 from fbetamax.dataio import _BLOCK_ROWS as B
 from fbetamax.synth import build_distribution, sample_batch, to_dataset
-from fbetamax.training import Dataset, LinearModel, TrainConfig, train_surrogate
+from fbetamax.training import Dataset, TrainConfig, train_surrogate
 
 B1 = BetaParam(1.0)
 
@@ -234,17 +234,6 @@ class TestModelRoundTrip:
         back = load_model(p)
         assert back.active_indices == model.active_indices
 
-    def test_save_rejects_coordinates_the_counts_do_not_rebuild(self, tmp_path):
-        # the file keeps only counts=1, which reloads as (zero, (1,1), (2,1)):
-        # these rows would land with coordinates 0 and 1 swapped
-        active = (StatIndex.pair(1, 1), StatIndex.zero(), StatIndex.pair(2, 1))
-        model = LinearModel(s=2, d=3, beta=B1, active_indices=active,
-                            weights=np.arange(12.0).reshape(3, 4), bias=True, reg_lambda=0.0)
-        p = tmp_path / "m.txt"
-        with pytest.raises(ValueError, match="count set"):
-            save_model(model, p)
-        assert not p.exists()
-
     def test_efp_model(self, tmp_path):
         rng = np.random.default_rng(2)
         data = self._data(rng)
@@ -286,6 +275,35 @@ class TestModelRoundTrip:
         lines = p.read_text().splitlines()
         _write(p, "\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataFormatError, match="truncated"):
+            load_model(p)
+
+    @pytest.mark.parametrize(
+        "algo, counts, vectors, lineno",
+        [
+            ("surrogate", "2,1", 5, 8),
+            ("surrogate", "1,1", 5, 8),
+            ("surrogate", "0,1", 3, 8),
+            ("surrogate", "1,3", 5, 8),
+            ("efp", "1,1", 5, 8),
+            ("efp", "3", 5, 8),
+            ("br", "1", 2, 8),
+            ("surrogate", "1", 5, 9),
+            ("surrogate", "", 2, 9),
+            ("efp", "1", 3, 9),
+            ("efp", "", 1, 9),
+            ("br", "", 3, 9),
+        ],
+    )
+    def test_counts_and_vectors_must_fit_the_algorithm(self, tmp_path, algo, counts,
+                                                        vectors, lineno):
+        # s=2: surrogate has 1 + 2|K| vectors, efp 1 + 2(1 + |K|), br 2 and no counts
+        p = tmp_path / "m.txt"
+        _write(
+            p,
+            f"#ml-model v1\nalgo={algo}\ns=2\nd=2\nbeta=1\nbias=1\nreg=0\n"
+            f"counts={counts}\nvectors={vectors}\n" + "0 0 0\n" * vectors,
+        )
+        with pytest.raises(DataFormatError, match=f"line {lineno}"):
             load_model(p)
 
     def test_unknown_algo_tag(self, tmp_path):

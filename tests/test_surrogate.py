@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from fbetamax.baselines import EfpModel
+from fbetamax.dataio import load_model, save_model
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex, StatVec
 from fbetamax.losses import sigmoid
 from fbetamax.surrogate import (
@@ -16,6 +20,7 @@ from fbetamax.surrogate import (
     surrogate_gradient,
     surrogate_loss,
 )
+from fbetamax.training import LinearModel
 
 # mpmath, 30 digits
 TWO_LN2 = 1.3862943611198906
@@ -41,6 +46,81 @@ class TestSurrogateConfig:
     def test_rejects_out_of_range_count(self):
         with pytest.raises(ValueError):
             SurrogateConfig.for_counts(2, [3], B1)
+
+
+def _count_sets(s: int):
+    """Every subset of 1..s, in increasing order."""
+    return [K for r in range(s + 1) for K in combinations(range(1, s + 1), r)]
+
+
+class TestCountLayout:
+    """StatIndex.flat is the reference for the one cached coordinate layout."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_layout_matches_statindex_flat(self, s):
+        for K in _count_sets(s):
+            cfg = SurrogateConfig(s, B1, K)
+            assert [(ix.j, ix.k) for ix in cfg.active_indices] == [(0, 0)] + [
+                (j, k) for j in range(1, s + 1) for k in K
+            ]
+            assert cfg.active_flats.tolist() == [ix.flat(s) for ix in cfg.active_indices]
+            assert not cfg.active_flats.flags.writeable
+            # equal count sets share the very same layout objects
+            again = SurrogateConfig(s, BetaParam(2.0), [0, *reversed(K)])
+            assert again.active_indices is cfg.active_indices
+            assert again.active_flats is cfg.active_flats
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_models_keep_their_count_set_through_a_file(self, s, tmp_path):
+        rng = np.random.default_rng(s)
+        d, path = 2, tmp_path / "m.mlmodel"
+        for K in _count_sets(s):
+            cfg = SurrogateConfig(s, B1, K)
+            # equal StatIndex objects that are not the cached ones
+            active = [StatIndex(ix.j, ix.k) for ix in cfg.active_indices]
+            model = LinearModel(s=s, d=d, beta=B1, active_indices=active,
+                                weights=rng.normal(size=(len(active), d + 1)),
+                                bias=True, reg_lambda=0.0)
+            assert model.counts == K
+            assert model.active_flats.tolist() == [ix.flat(s) for ix in active]
+            save_model(model, path)
+            back = load_model(path, expected_algo="surrogate")
+            assert back.counts == K
+            np.testing.assert_array_equal(back.active_flats, model.active_flats)
+            np.testing.assert_array_equal(back.weights, model.weights)
+
+            efp = EfpModel(s=s, d=d, beta=B1, counts=K, zero_weights=rng.normal(size=d + 1),
+                           label_weights=rng.normal(size=(s, len(K) + 1, d + 1)),
+                           bias=True, reg_lambda=0.0)
+            pairs = [[StatIndex.pair(j, k).flat(s) for k in K] for j in range(1, s + 1)]
+            assert efp._pair_flats.tolist() == pairs
+            save_model(efp, path)
+            back = load_model(path, expected_algo="efp")
+            assert back.counts == K
+            assert back._pair_flats.tolist() == pairs
+            np.testing.assert_array_equal(back.zero_weights, efp.zero_weights)
+            np.testing.assert_array_equal(back.label_weights, efp.label_weights)
+
+    def test_construction_rejects_coordinates_of_no_count_set(self):
+        zero, p = StatIndex.zero(), StatIndex.pair
+        bad = [
+            # rows that a file keeping only counts=1 would reload with 0 and 1 swapped
+            (p(1, 1), zero, p(2, 1)),
+            (zero, p(2, 1), p(1, 1)),
+            (zero, p(1, 2), p(1, 1), p(2, 2), p(2, 1)),
+            (),
+            (zero, p(1, 1)),
+            (zero, p(1, 1), p(2, 1), p(2, 2)),
+            (zero, p(1, 1), p(1, 1), p(2, 1), p(2, 1)),
+            (zero, p(1, 1), p(2, 1), p(3, 1)),
+        ]
+        for active in bad:
+            with pytest.raises(ValueError, match="count set"):
+                LinearModel(s=2, d=3, beta=B1, active_indices=active,
+                            weights=np.zeros((len(active), 4)), bias=True, reg_lambda=0.0)
+        with pytest.raises(ValueError, match="1..s"):
+            LinearModel(s=2, d=3, beta=B1, active_indices=(zero, p(1, 3), p(2, 3)),
+                        weights=np.zeros((3, 4)), bias=True, reg_lambda=0.0)
 
 
 class TestSurrogateLoss:
