@@ -62,11 +62,6 @@ def _open_lines(path):
     return open(path, "r", encoding="utf-8", newline="\n")
 
 
-def _read_lines(path) -> list[str]:
-    with _open_lines(path) as fh:
-        return fh.read().split("\n")
-
-
 def _parsed_blocks(fh, lineno: int, parse, rescan, *args):
     """Yield parse(rows, *args) for each block of the remaining lines of fh.
 
@@ -349,35 +344,33 @@ def _header_lines(algo: str, s: int, d: int, beta: float, bias: bool, reg: float
 def save_model(model, path) -> None:
     """Serialize a trained model; the algorithm tag is part of the header."""
     if isinstance(model, LinearModel):
-        algo, beta, counts, rows = "surrogate", model.beta.beta, model.counts, model.weights
+        algo, beta, counts = "surrogate", model.beta.beta, model.counts
     elif isinstance(model, EfpModel):
         algo, beta, counts = "efp", model.beta.beta, model.counts
-        rows = np.vstack([model.zero_weights,
-                          model.label_weights.reshape(-1, model.label_weights.shape[-1])])
     elif isinstance(model, BrModel):
-        algo, beta, counts, rows = "br", 1.0, (), model.weights
+        algo, beta, counts = "br", 1.0, ()
     else:
         raise ValueError(f"cannot serialize a {type(model).__name__}")
     header = _header_lines(algo, model.s, model.d, beta, model.bias, model.reg_lambda,
-                           counts, len(rows))
+                           counts, len(model.weights))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in header) + _float_text(rows))
+        fh.write("".join(line + "\n" for line in header) + _float_text(model.weights))
 
 
 def _parse_model_header(lines: list[str]) -> dict:
-    if not lines or lines[0] != _MODEL_MAGIC:
+    if lines[0] != _MODEL_MAGIC:
         raise DataFormatError(f"line 1: expected '{_MODEL_MAGIC}'")
     keys = ("algo", "s", "d", "beta", "bias", "reg", "counts", "vectors")
     fields: dict = {}
     for lineno, key in enumerate(keys, start=2):
-        if lineno - 1 >= len(lines) or not lines[lineno - 1].startswith(f"{key}="):
+        if not lines[lineno - 1].startswith(f"{key}="):
             raise DataFormatError(f"line {lineno}: expected '{key}=...'")
         fields[key] = lines[lineno - 1][len(key) + 1:]
     try:
         fields["s"] = int(fields["s"])
         fields["d"] = int(fields["d"])
         fields["beta"] = float(fields["beta"])
-        fields["bias"] = bool(int(fields["bias"]))
+        fields["bias"] = int(fields["bias"])
         fields["reg"] = float(fields["reg"])
         fields["vectors"] = int(fields["vectors"])
         fields["counts"] = tuple(
@@ -388,6 +381,17 @@ def _parse_model_header(lines: list[str]) -> dict:
     algo, s, counts = fields["algo"], fields["s"], fields["counts"]
     if algo not in ALGORITHMS:
         raise DataFormatError(f"unknown algorithm tag {algo!r}")
+    if s < 1:
+        raise DataFormatError("line 3: s must be >= 1")
+    if fields["d"] < 1:
+        raise DataFormatError("line 4: d must be >= 1")
+    if not (np.isfinite(fields["beta"]) and fields["beta"] > 0.0):
+        raise DataFormatError("line 5: beta must be a finite positive real")
+    if fields["bias"] not in (0, 1):
+        raise DataFormatError("line 6: bias must be 0 or 1")
+    fields["bias"] = bool(fields["bias"])
+    if not (np.isfinite(fields["reg"]) and fields["reg"] >= 0.0):
+        raise DataFormatError("line 7: reg must be a finite non-negative real")
     if algo == "br" and counts:
         raise DataFormatError("line 8: a br model has no counts")
     if counts != tuple(sorted(set(counts))) or any(not 1 <= k <= s for k in counts):
@@ -404,30 +408,47 @@ def _parse_model_header(lines: list[str]) -> dict:
 def load_model(path, expected_algo: str | None = None):
     """Load a model file; raises on version/tag mismatch, truncation, or a header whose
     counts= or vectors= does not fit its algorithm.
+
+    The body is read line by line into the model's preallocated weight
+    matrix, so the text of the file is never held whole.  Blank lines are
+    skipped.
     """
-    lines = _read_lines(path)
-    fields = _parse_model_header(lines)
-    if expected_algo is not None and fields["algo"] != expected_algo:
+    with _open_lines(path) as fh:
+        fields = _parse_model_header([fh.readline().rstrip("\n") for _ in range(9)])
+        if expected_algo is not None and fields["algo"] != expected_algo:
+            raise DataFormatError(
+                f"algorithm tag mismatch: file says {fields['algo']!r}, "
+                f"expected {expected_algo!r}"
+            )
+        width = fields["d"] + 1
+        try:
+            rows = np.empty((fields["vectors"], width))
+        except MemoryError:
+            raise DataFormatError(f"lines 4 and 9: {fields['vectors']} weight vectors of "
+                                  f"{width} entries do not fit in memory") from None
+        found, error = 0, None
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            # after a bad row, only count the rest: a wrong row count is reported first
+            if error is None and found < len(rows):
+                try:
+                    row = np.fromiter(map(float, line.split(" ")), dtype=np.float64)
+                except ValueError:
+                    error = "bad float in model body"
+                else:
+                    if row.size == width:
+                        rows[found] = row
+                    else:
+                        error = f"weight vectors must have {width} entries"
+            found += 1
+    if found != len(rows):
         raise DataFormatError(
-            f"algorithm tag mismatch: file says {fields['algo']!r}, "
-            f"expected {expected_algo!r}"
+            f"truncated model file: header promises {len(rows)} vectors, found {found}"
         )
-    n_header = 9
-    body = [line for line in lines[n_header:] if line != ""]
-    if len(body) != fields["vectors"]:
-        raise DataFormatError(
-            f"truncated model file: header promises {fields['vectors']} "
-            f"vectors, found {len(body)}"
-        )
-    width = fields["d"] + 1
-    try:
-        # rows of unequal length make np.array raise, as a bad float does
-        rows = np.array([np.fromiter(map(float, line.split(" ")), dtype=np.float64)
-                         for line in body])
-    except ValueError:
-        raise DataFormatError("bad float in model body") from None
-    if rows.shape != (fields["vectors"], width):
-        raise DataFormatError(f"weight vectors must have {width} entries")
+    if error is not None:
+        raise DataFormatError(error)
     s, d, counts = fields["s"], fields["d"], fields["counts"]
     if fields["algo"] == "br":
         return BrModel(s=s, d=d, weights=rows, bias=fields["bias"], reg_lambda=fields["reg"])
@@ -438,8 +459,7 @@ def load_model(path, expected_algo: str | None = None):
             weights=rows, bias=fields["bias"], reg_lambda=fields["reg"],
         )
     return EfpModel(
-        s=s, d=d, beta=beta, counts=counts, zero_weights=rows[0],
-        label_weights=rows[1:].reshape(s, 1 + len(counts), width),
+        s=s, d=d, beta=beta, counts=counts, weights=rows,
         bias=fields["bias"], reg_lambda=fields["reg"],
     )
 
@@ -452,7 +472,8 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
     A point count that disagrees with the header, a malformed or duplicate
     feature, or a non-finite value raises with the line number.
     """
-    lines = _read_lines(src)
+    with _open_lines(src) as fh:
+        lines = fh.read().split("\n")
     head = lines[0].split() if lines else []
     if len(head) != 3:
         raise DataFormatError("line 1: expected 'num_points num_features num_labels'")

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A multi-label sample: sparse features plus an (m, s) 0/1 label matrix.
 
@@ -160,13 +160,53 @@ def _row_blocks(X: sparse.csr_matrix, s: int):
         yield rows, X[rows]
 
 
-def _predict_by_chunks(model, X) -> np.ndarray:
-    """(m, s) decoded bits of model.stat_prob_rows, one decoding row chunk at a time."""
-    X = _as_feature_matrix(X, model.d)
-    bits = np.empty((X.shape[0], model.s), dtype=np.uint8)
-    for rows, X_rows in _row_blocks(X, model.s):
-        bits[rows], _ = decode_rows(model.stat_prob_rows(X_rows), model.s, model.beta)
-    return bits
+def _weight_rows(weights, rows: int, d: int) -> np.ndarray:
+    """A read-only float64 copy of weights, checked to be a finite (rows, d+1) matrix."""
+    weights = np.array(weights, dtype=np.float64)
+    if weights.shape != (rows, d + 1):
+        raise ValueError(f"weights must have shape {(rows, d + 1)}, got {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("model weights must be finite")
+    weights.flags.writeable = False
+    return weights
+
+
+class _RowScorer:
+    """Scoring shared by the models: rows of weights, bias last, one row chunk at a time.
+
+    A model holds s, d and weights, a read-only (rows, d+1) matrix whose
+    rows are exactly the body of its model file.  predict_rows decodes the
+    model's stat_prob_rows, which maps a chunk's raw scores to statistic
+    means.
+    """
+
+    @cached_property
+    def _feature_weights(self) -> np.ndarray:
+        """(d, rows) contiguous copy of the non-bias weights, for X @ W."""
+        return np.ascontiguousarray(self.weights[:, : self.d].T)
+
+    def _score_chunks(self, X: sparse.csr_matrix):
+        """Yield (rows, raw scores) per row chunk of X; each scores array is fresh."""
+        for rows, X_rows in _row_blocks(X, self.s):
+            scores = X_rows @ self._feature_weights
+            scores += self.weights[:, self.d]
+            yield rows, scores
+
+    def score_rows(self, X) -> np.ndarray:
+        """(m, rows) raw scores for a feature matrix."""
+        X = _as_feature_matrix(X, self.d)
+        out = np.empty((X.shape[0], len(self.weights)))
+        for rows, scores in self._score_chunks(X):
+            out[rows] = scores
+        return out
+
+    def predict_rows(self, X) -> np.ndarray:
+        """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
+        X = _as_feature_matrix(X, self.d)
+        bits = np.empty((X.shape[0], self.s), dtype=np.uint8)
+        for rows, X_rows in _row_blocks(X, self.s):
+            bits[rows], _ = decode_rows(self.stat_prob_rows(X_rows), self.s, self.beta)
+        return bits
 
 
 # Damped Newton runs when a problem has at most NEWTON_MAX_DIM weights and
@@ -341,16 +381,16 @@ def _logistic_objective(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
 
 
 def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of Z, which is shifted in place by its row maxima.
+    """Softmax of Z along its last axis; Z is shifted in place by its maxima there.
 
     Returns the probabilities and the log of each shifted row's sum of
     exponentials, so log-softmax is Z - that log after the call.
     """
-    Z -= Z.max(axis=1, keepdims=True)
+    Z -= Z.max(axis=-1, keepdims=True)
     P = np.exp(Z)
-    sums = P.sum(axis=1, keepdims=True)
+    sums = P.sum(axis=-1, keepdims=True)
     P /= sums
-    return P, np.log(sums[:, 0])
+    return P, np.log(sums[..., 0])
 
 
 def _softmax_objective(X: sparse.csr_matrix, labels: np.ndarray, C: int, cfg: TrainConfig):
@@ -558,6 +598,8 @@ def fit_logistic_columns(
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != m:
         raise ValueError("one binary target per row is required")
+    if not np.all((T == 0.0) | (T == 1.0)):
+        raise ValueError("binary targets must be 0 or 1")
     names = [str(name) for name in names]
     if len(names) != T.shape[1]:
         raise ValueError("one name per target column is required")
@@ -590,12 +632,13 @@ def fit_binary_logistic(
     return weights[0], reports[0]
 
 
-@dataclass(frozen=True)
-class LinearModel:
+@dataclass(frozen=True, eq=False)
+class LinearModel(_RowScorer):
     """One linear scorer per active statistic coordinate.
 
-    weights has one row per active coordinate, each of length d+1 with the
-    bias last.  Inactive coordinates get no score and probability exactly 0.
+    weights has one row per active coordinate, in the order of
+    active_indices, each of length d+1 with the bias last.  Inactive
+    coordinates get no score and probability exactly 0.
     active_indices must be SurrogateConfig(s, beta, counts).active_indices
     for some count set; counts, read back from it, is the one encoding of K,
     and active_flats comes from surrogate.coordinates(s, counts).
@@ -621,40 +664,13 @@ class LinearModel:
         if active != scfg.active_indices:
             raise ValueError("active_indices must be SurrogateConfig(s, beta, counts)"
                              ".active_indices for one count set")
-        weights = np.array(self.weights, dtype=np.float64)
-        expected = (len(active), self.d + 1)
-        if weights.shape != expected:
-            raise ValueError(f"weights must have shape {expected}, got {weights.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("model weights must be finite")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _weight_rows(self.weights, len(active), self.d))
         object.__setattr__(self, "active_indices", scfg.active_indices)
         object.__setattr__(self, "counts", scfg.counts)
 
     @property
     def active_flats(self) -> np.ndarray:
         return coordinates(self.s, self.counts)[1]
-
-    @cached_property
-    def _feature_weights(self) -> np.ndarray:
-        """(d, n_active) contiguous copy of the non-bias weights, for X @ W."""
-        return np.ascontiguousarray(self.weights[:, : self.d].T)
-
-    def _score_chunks(self, X: sparse.csr_matrix):
-        """Yield (rows, raw scores) per row chunk of X; each scores array is fresh."""
-        for rows, X_rows in _row_blocks(X, self.s):
-            scores = X_rows @ self._feature_weights
-            scores += self.weights[:, self.d]
-            yield rows, scores
-
-    def score_rows(self, X) -> np.ndarray:
-        """(m, n_active) raw scores for a feature matrix."""
-        X = _as_feature_matrix(X, self.d)
-        out = np.empty((X.shape[0], len(self.active_indices)))
-        for rows, scores in self._score_chunks(X):
-            out[rows] = scores
-        return out
 
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means; inactive coordinates are exactly 0."""
@@ -663,10 +679,6 @@ class LinearModel:
         for rows, scores in self._score_chunks(X):
             out[rows, self.active_flats] = expit(scores, out=scores)
         return out
-
-    def predict_rows(self, X) -> np.ndarray:
-        """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
-        return _predict_by_chunks(self, X)
 
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:

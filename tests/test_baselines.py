@@ -11,6 +11,7 @@ from fbetamax.baselines import BrModel, EfpModel, train_br, train_efp
 from fbetamax.dataio import load_model, save_model
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
+from fbetamax.surrogate import coordinates
 from fbetamax.training import Dataset, TrainConfig, multinomial_prob_rows
 
 B1 = BetaParam(1.0)
@@ -33,7 +34,8 @@ class TestEfpModel:
         data = Dataset(s=3, d=4, features=X, labels=labels)
         model = train_efp(data, TrainConfig(reg_lambda=0.1), B1)
         assert model.counts == (1, 2)
-        assert model.label_weights.shape == (3, 3, 5)
+        # the empty-labeling row, then one 3-class block per tag
+        assert model.weights.shape == (1 + 3 * 3, 5)
         assert len(model.reports) == 1 + 3
 
     def test_all_empty_sample_trains_one_class_blocks(self, tmp_path):
@@ -43,7 +45,8 @@ class TestEfpModel:
         data = Dataset(s=2, d=2, features=X, labels=(LabelVec((0, 0)),) * 3)
         model = train_efp(data, TrainConfig(reg_lambda=0.1), B1)
         assert model.counts == ()
-        assert model.label_weights.shape == (2, 1, 3)
+        assert model.weights.shape == (1 + 2 * 1, 3)
+        assert not model.weights[1:].any()
         assert [r.name for r in model.reports] == ["zero"]
         path = tmp_path / "efp.mlmodel"
         save_model(model, path)
@@ -57,7 +60,7 @@ class TestEfpModel:
         model = train_efp(data, TrainConfig(reg_lambda=0.05), B1)
         probs = model.stat_prob_rows(data.features[:20])
         # for each tag, inactive mass is one minus the pair-cell mass
-        flats = model._pair_flats
+        flats = coordinates(data.s, model.counts)[1][1:].reshape(data.s, len(model.counts))
         for j in range(data.s):
             tag_mass = probs[:, flats[j]].sum(axis=1)
             assert np.all(tag_mass <= 1.0 + 1e-9)
@@ -99,35 +102,36 @@ class TestEfpModel:
 
     @pytest.mark.parametrize("s", [1, 6])
     def test_chunk_boundaries_match_one_shot_assembly(self, s, monkeypatch):
-        import fbetamax.baselines as baselines_mod
-
         c = chunk_rows(s)
         d = 4
         rng = np.random.default_rng(950 + s)
         counts = tuple(sorted({1, s}))
+        C = len(counts) + 1
         model = EfpModel(
             s=s, d=d, beta=B1, counts=counts,
-            zero_weights=rng.normal(size=d + 1),
-            label_weights=rng.normal(size=(s, len(counts) + 1, d + 1)),
+            weights=rng.normal(size=(1 + s * C, d + 1)),
             bias=True, reg_lambda=0.0,
         )
         X_all = sparse.random(2 * c + 1, d, density=0.5, format="csr",
                               random_state=np.random.RandomState(s))
         # one-shot assembly over all rows; every row's arithmetic is its own
+        W = model.weights
         expected = np.zeros((X_all.shape[0], s * s + 1))
-        expected[:, 0] = expit(X_all @ model.zero_weights[:d] + model.zero_weights[d])
+        expected[:, 0] = expit(X_all @ W[0, :d] + W[0, d])
         for j in range(1, s + 1):
-            probs = multinomial_prob_rows(model.label_weights[j - 1], X_all)
+            probs = multinomial_prob_rows(W[1 + (j - 1) * C:1 + j * C], X_all)
             for col, k in enumerate(counts, start=1):
                 expected[:, StatIndex.pair(j, k).flat(s)] = probs[:, col]
-        # record the rows each softmax block scores at once: at most one chunk
+        # record the rows each scoring call sees at once: at most one chunk
         block_rows = []
+        score_chunks = EfpModel._score_chunks
 
-        def recording_probs(weights, X, bias=True):
-            block_rows.append(X.shape[0])
-            return multinomial_prob_rows(weights, X, bias)
+        def recording_chunks(self, X):
+            for rows, scores in score_chunks(self, X):
+                block_rows.append(scores.shape[0])
+                yield rows, scores
 
-        monkeypatch.setattr(baselines_mod, "multinomial_prob_rows", recording_probs)
+        monkeypatch.setattr(EfpModel, "_score_chunks", recording_chunks)
         for m in (0, 1, c - 1, c, c + 1, 2 * c + 1):
             X = X_all[:m]
             got = model.stat_prob_rows(X)
@@ -141,17 +145,16 @@ class TestEfpModel:
         with pytest.raises(ValueError, match="counts"):
             EfpModel(
                 s=2, d=1, beta=B1, counts=(2, 1),
-                zero_weights=np.zeros(2),
-                label_weights=np.zeros((2, 3, 2)),
+                weights=np.zeros((1 + 2 * 3, 2)),
                 bias=True, reg_lambda=0.0,
             )
 
     def test_validation_rejects_bad_block_shape(self):
-        with pytest.raises(ValueError, match="label blocks"):
+        # rows for 3-class blocks, but counts=(1,) makes 2-class blocks: 1 + 2*2 rows
+        with pytest.raises(ValueError, match=r"weights must have shape \(5, 2\)"):
             EfpModel(
                 s=2, d=1, beta=B1, counts=(1,),
-                zero_weights=np.zeros(2),
-                label_weights=np.zeros((2, 3, 2)),
+                weights=np.zeros((1 + 2 * 3, 2)),
                 bias=True, reg_lambda=0.0,
             )
 
@@ -182,16 +185,6 @@ class TestBrModel:
         scores = model.score_rows(x)[0]
         assert scores[0] == 0.0
         np.testing.assert_array_equal(model.predict_rows(x), [[1, 1 if scores[1] >= 0 else 0]])
-
-    def test_marginals_are_sigmoid_scores(self):
-        rng = np.random.default_rng(5)
-        model = BrModel(
-            s=3, d=4, weights=rng.normal(size=(3, 5)), bias=True, reg_lambda=0.0
-        )
-        X = rng.normal(size=(10, 4))
-        np.testing.assert_allclose(
-            model.marginal_rows(X), expit(model.score_rows(X)), atol=1e-15
-        )
 
     def test_training_recovers_strong_marginals(self):
         # well-separated tags should be predicted nearly perfectly in-sample

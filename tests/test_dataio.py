@@ -243,8 +243,7 @@ class TestModelRoundTrip:
         back = load_model(p, expected_algo="efp")
         assert back.counts == model.counts
         assert back.beta.beta == 2.0
-        assert np.array_equal(back.zero_weights, model.zero_weights)
-        assert np.array_equal(back.label_weights, model.label_weights)
+        assert np.array_equal(back.weights, model.weights)
         X = rng.normal(size=(20, 4))
         np.testing.assert_array_equal(back.predict_rows(X), model.predict_rows(X))
 
@@ -305,6 +304,105 @@ class TestModelRoundTrip:
         )
         with pytest.raises(DataFormatError, match=f"line {lineno}"):
             load_model(p)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("s", "0", "line 3: s must be >= 1"),
+            ("s", "-1", "line 3: s must be >= 1"),
+            ("d", "0", "line 4: d must be >= 1"),
+            ("beta", "0", "line 5: beta must be a finite positive real"),
+            ("beta", "-1", "line 5: beta must be a finite positive real"),
+            ("beta", "inf", "line 5: beta must be a finite positive real"),
+            ("beta", "nan", "line 5: beta must be a finite positive real"),
+            ("bias", "2", "line 6: bias must be 0 or 1"),
+            ("bias", "-1", "line 6: bias must be 0 or 1"),
+            ("reg", "-1", "line 7: reg must be a finite non-negative real"),
+            ("reg", "nan", "line 7: reg must be a finite non-negative real"),
+            ("reg", "inf", "line 7: reg must be a finite non-negative real"),
+        ],
+    )
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_header_values_must_lie_in_range(self, tmp_path, algo, key, value, message):
+        fields = {"s": "1", "d": "1", "beta": "1", "bias": "1", "reg": "0"}
+        fields[key] = value
+        counts, vectors = {"surrogate": ("1", 2), "efp": ("1", 3), "br": ("", 1)}[algo]
+        p = tmp_path / "m.txt"
+        _write(
+            p,
+            f"#ml-model v1\nalgo={algo}\n"
+            + "".join(f"{k}={v}\n" for k, v in fields.items())
+            + f"counts={counts}\nvectors={vectors}\n" + "0 0\n" * vectors,
+        )
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            load_model(p)
+        # the same file with the value in range loads
+        _write(p, p.read_text().replace(f"{key}={value}\n", f"{key}=1\n"))
+        assert load_model(p).weights.shape == (vectors, 2)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 0 0\n0 0\n", "^weight vectors must have 3 entries$"),
+            ("0 0 0\n0 0 0 0\n", "^weight vectors must have 3 entries$"),
+            ("0 0 0\n0 x 0\n", "^bad float in model body$"),
+            ("0 0 0\n0 0 0\n0 0 0\n", "^truncated model file: header promises 2 vectors, "
+                                          "found 3$"),
+            ("0 0 0\n", "^truncated model file: header promises 2 vectors, found 1$"),
+            # a wrong row count is reported before a bad row
+            ("0 x\n", "^truncated model file: header promises 2 vectors, found 1$"),
+            ("0 0\n0 0 0\n0 0 0\n", "^truncated model file"),
+        ],
+    )
+    def test_streamed_body_rejects_bad_rows(self, tmp_path, body, message):
+        head = "#ml-model v1\nalgo=br\ns=2\nd=2\nbeta=1\nbias=1\nreg=0\ncounts=\nvectors=2\n"
+        p = tmp_path / "m.txt"
+        _write(p, head + body)
+        with pytest.raises(DataFormatError, match=message):
+            load_model(p)
+
+    def test_body_too_large_to_allocate_is_a_format_error(self, tmp_path):
+        # a corrupt d must not escape as MemoryError; 8 PB exceeds any address space
+        p = tmp_path / "m.txt"
+        _write(p, "#ml-model v1\nalgo=br\ns=1\nd=1000000000000000\nbeta=1\nbias=1\nreg=0\n"
+                  "counts=\nvectors=1\n0 0 0\n")
+        with pytest.raises(DataFormatError, match="^lines 4 and 9: .* do not fit in memory$"):
+            load_model(p)
+
+    def test_streamed_body_skips_blank_lines(self, tmp_path):
+        head = "#ml-model v1\nalgo=br\ns=2\nd=2\nbeta=1\nbias=0\nreg=0\ncounts=\nvectors=2\n"
+        p = tmp_path / "m.txt"
+        _write(p, head + "\n0.5 -1 2\n\n\n3 0.25 -0\n\n")
+        back = load_model(p, expected_algo="br")
+        assert _same_doubles(back.weights, [[0.5, -1.0, 2.0], [3.0, 0.25, -0.0]])
+        assert back.bias is False
+        # no final newline
+        _write(p, head + "0.5 -1 2\n3 0.25 -0")
+        assert _same_doubles(load_model(p).weights, back.weights)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_saved_body_is_the_weight_matrix(self, tmp_path, algo):
+        rng = np.random.default_rng(9)
+        model = _trained(algo, self._data(rng, s=3), TrainConfig(reg_lambda=0.05))
+        p = tmp_path / "m.mlmodel"
+        save_model(model, p)
+        body = [[float(v) for v in line.split(" ")] for line in p.read_text().splitlines()[9:]]
+        assert _same_doubles(body, model.weights)
+        assert _same_doubles(load_model(p, expected_algo=algo).weights, model.weights)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_models_compare_by_identity(self, tmp_path, algo):
+        rng = np.random.default_rng(10)
+        data = self._data(rng, s=3)
+        assert data == data and {data: 0}[data] == 0
+        model = _trained(algo, data, TrainConfig(reg_lambda=0.05))
+        p = tmp_path / "m.mlmodel"
+        save_model(model, p)
+        a, b = load_model(p), load_model(p)
+        assert _same_doubles(a.weights, b.weights)
+        assert (a == b) is False and (a != b) is True
+        assert a == a
+        assert {a: 1, b: 2}[a] == 1
 
     def test_unknown_algo_tag(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -494,6 +592,14 @@ def _oracle_dataset_text(data: Dataset) -> str:
 
 def _oracle_float_lines(rows) -> list[str]:
     return [" ".join(f"{v:.17g}" for v in row) for row in rows]
+
+
+def _trained(algo: str, data: Dataset, cfg: TrainConfig):
+    if algo == "surrogate":
+        return train_surrogate(data, cfg, SurrogateConfig.full(data.s, B1))
+    if algo == "efp":
+        return train_efp(data, cfg, B1)
+    return train_br(data, cfg)
 
 
 def _oracle_prediction_text(bits) -> str:
@@ -766,20 +872,12 @@ class TestBlockedFloatFormats:
         rng = np.random.default_rng(8)
         data = TestModelRoundTrip()._data(rng, s=3)
         cfg = TrainConfig(reg_lambda=0.05)
-        if algo == "surrogate":
-            model = train_surrogate(data, cfg, SurrogateConfig.full(3, B1))
-            rows = model.weights
-        elif algo == "efp":
-            model = train_efp(data, cfg, B1)
-            rows = [model.zero_weights, *model.label_weights.reshape(-1, data.d + 1)]
-        else:
-            model = train_br(data, cfg)
-            rows = model.weights
+        model = _trained(algo, data, cfg)
         p = tmp_path / "m.mlmodel"
         save_model(model, p)
         text = p.read_text()
         head = text.splitlines()[:9]
-        assert text == "\n".join(head + _oracle_float_lines(rows)) + "\n"
+        assert text == "\n".join(head + _oracle_float_lines(model.weights)) + "\n"
         assert head[1] == f"algo={algo}"
         assert head[4:7] == [f"beta={model.beta.beta if algo != 'br' else 1.0:.17g}",
                              "bias=1", "reg=0.050000000000000003"]

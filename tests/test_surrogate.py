@@ -17,10 +17,11 @@ from fbetamax.losses import sigmoid
 from fbetamax.surrogate import (
     SurrogateConfig,
     binary_targets,
+    coordinates,
     surrogate_gradient,
     surrogate_loss,
 )
-from fbetamax.training import LinearModel
+from fbetamax.training import LinearModel, multinomial_prob_rows
 
 # mpmath, 30 digits
 TWO_LN2 = 1.3862943611198906
@@ -89,17 +90,24 @@ class TestCountLayout:
             np.testing.assert_array_equal(back.active_flats, model.active_flats)
             np.testing.assert_array_equal(back.weights, model.weights)
 
-            efp = EfpModel(s=s, d=d, beta=B1, counts=K, zero_weights=rng.normal(size=d + 1),
-                           label_weights=rng.normal(size=(s, len(K) + 1, d + 1)),
+            C = len(K) + 1
+            efp = EfpModel(s=s, d=d, beta=B1, counts=K,
+                           weights=rng.normal(size=(1 + s * C, d + 1)),
                            bias=True, reg_lambda=0.0)
             pairs = [[StatIndex.pair(j, k).flat(s) for k in K] for j in range(1, s + 1)]
-            assert efp._pair_flats.tolist() == pairs
+            assert coordinates(s, efp.counts)[1][1:].reshape(s, len(K)).tolist() == pairs
+            # tag j's block of C weight rows lands on the pairs (j, k), k in K
+            X = rng.normal(size=(3, d))
+            probs = efp.stat_prob_rows(X)
+            for j in range(1, s + 1):
+                block = multinomial_prob_rows(efp.weights[1 + (j - 1) * C:1 + j * C], X)
+                np.testing.assert_array_equal(probs[:, pairs[j - 1]], block[:, 1:])
             save_model(efp, path)
             back = load_model(path, expected_algo="efp")
             assert back.counts == K
-            assert back._pair_flats.tolist() == pairs
-            np.testing.assert_array_equal(back.zero_weights, efp.zero_weights)
-            np.testing.assert_array_equal(back.label_weights, efp.label_weights)
+            assert coordinates(s, back.counts)[1][1:].reshape(s, len(K)).tolist() == pairs
+            np.testing.assert_array_equal(back.weights, efp.weights)
+            np.testing.assert_array_equal(back.stat_prob_rows(X), probs)
 
     def test_construction_rejects_coordinates_of_no_count_set(self):
         zero, p = StatIndex.zero(), StatIndex.pair

@@ -210,6 +210,19 @@ class TestBinarySolver:
         with pytest.raises(ValueError, match="name"):
             fit_logistic_columns(X, np.zeros((3, 2)), TrainConfig(), ["only"])
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan, np.inf])
+    def test_targets_must_be_zero_or_one(self, bad):
+        X = sparse.csr_matrix(np.eye(4, 2))
+        T = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        T[2, 1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit_logistic_columns(X, T, TrainConfig(), ["a", "b"])
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit_binary_logistic(X, T[:, 1], TrainConfig())
+        # bool and integer 0/1 targets are accepted as they are
+        W, _ = fit_logistic_columns(X, T[:, :1] == 1.0, TrainConfig(), ["a"])
+        np.testing.assert_array_equal(W, fit_logistic_columns(X, T[:, :1], TrainConfig(), ["a"])[0])
+
     def test_bias_disabled_pins_last_weight(self):
         rng = np.random.default_rng(8)
         X = sparse.csr_matrix(rng.normal(size=(40, 3)))
