@@ -354,7 +354,9 @@ def save_model(model, path) -> None:
     header = _header_lines(algo, model.s, model.d, beta, model.bias, model.reg_lambda,
                            counts, len(model.weights))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in header) + _float_text(model.weights))
+        fh.write("".join(line + "\n" for line in header))
+        for lo in range(0, len(model.weights), _BLOCK_ROWS):
+            fh.write(_float_text(model.weights[lo:lo + _BLOCK_ROWS]))
 
 
 def _parse_model_header(lines: list[str]) -> dict:

@@ -43,9 +43,11 @@ MAX_BRUTE_S = 20
 
 # decode_rows and LinearModel scoring work on row chunks of about this many
 # statistic entries (s^2+1 per row), 8 MB per float64 temporary.  Chunks a
-# quarter this size decoded s = 50 rows about 7% faster, but scored 15000
-# dense rows at s = 6, d = 100 about 35% slower, in three CSR row slices
-# instead of one product.
+# quarter this size scored and decoded the 12000 s = 50 rows of the
+# predict-s50 benchmark in the same time (1.25-1.43 s against 1.32-1.46 s),
+# but scored 15000 dense rows at s = 6, d = 100 about 25% slower
+# (0.038-0.050 s against 0.029-0.040 s), in three CSR row slices instead of
+# one product; four runs each, 2 vCPU, one BLAS thread.
 CHUNK_ENTRIES = 1 << 20
 
 _BRUTE_CACHE_MAX_S = 12
@@ -115,20 +117,25 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     objectives = np.empty(m)
     for rows in row_chunks(m, s):
         chunk = P[rows]
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("estimated means must be finite")
-        if chunk.min() < -PROB_TOL or chunk.max() > 1.0 + PROB_TOL:
+        # NaN fails both comparisons, and +-inf falls outside the range
+        if not (chunk.min() >= -PROB_TOL and chunk.max() <= 1.0 + PROB_TOL):
+            if not np.all(np.isfinite(chunk)):
+                raise ValueError("estimated means must be finite")
             raise ValueError(f"estimated means must lie in [0, 1] up to {PROB_TOL:g}")
         n = chunk.shape[0]
-        T = chunk[:, 1:].reshape(n, s, s) @ coeffs
-        # column l-1 after the cumsum holds the optimum over labelings of size l
-        best_by_size = np.cumsum(np.sort(T, axis=1), axis=1)
+        # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
+        T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
+        # entry l-1 of row l-1 after the cumsum holds the optimum over labelings of size l
+        best_by_size = np.sort(T, axis=2)
+        np.cumsum(best_by_size, axis=2, out=best_by_size)
         objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
+        # freed before the next chunk builds its tables: at most three (n, s, s) arrays live
+        del best_by_size
         # argmax takes the first True, i.e. the smallest size among the ties
         choice = np.argmax(_near_min(objs), axis=1)
-        # only the chosen size's column is ranked; the stable sort keeps the
+        # only the chosen size's scores are ranked; the stable sort keeps the
         # smallest tag first among tied per-tag scores
-        column = T[np.arange(n), :, np.maximum(choice, 1) - 1]
+        column = T[np.arange(n), np.maximum(choice, 1) - 1]
         rank = np.empty((n, s), dtype=np.intp)
         np.put_along_axis(rank, np.argsort(column, axis=1, kind="stable"), tags[None, :], axis=1)
         bits[rows] = rank < choice[:, None]

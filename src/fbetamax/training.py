@@ -138,6 +138,7 @@ class SubproblemReport:
 
 
 def _as_feature_matrix(X, d: int) -> sparse.csr_matrix:
+    """X as a CSR matrix with d columns; ValueError unless every value is finite."""
     if sparse.issparse(X):
         X = X.tocsr()
     else:
@@ -147,6 +148,8 @@ def _as_feature_matrix(X, d: int) -> sparse.csr_matrix:
         X = sparse.csr_matrix(arr)
     if X.shape[1] != d:
         raise ValueError(f"features have {X.shape[1]} columns, model expects {d}")
+    if not np.all(np.isfinite(X.data)):
+        raise ValueError("feature values must be finite")
     return X
 
 
@@ -177,7 +180,10 @@ class _RowScorer:
     A model holds s, d and weights, a read-only (rows, d+1) matrix whose
     rows are exactly the body of its model file.  predict_rows decodes the
     model's stat_prob_rows, which maps a chunk's raw scores to statistic
-    means.
+    means.  LinearModel.stat_prob_rows scores with its own flat (d, s^2+1)
+    matrix instead: zero columns and a bias of -inf at the inactive
+    coordinates, so expit writes every chunk straight into the statistic
+    layout, exactly 0 where no scorer is fit.
     """
 
     @cached_property
@@ -672,12 +678,30 @@ class LinearModel(_RowScorer):
     def active_flats(self) -> np.ndarray:
         return coordinates(self.s, self.counts)[1]
 
+    @cached_property
+    def _flat_scoring(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d, s^2+1) feature weights and (s^2+1,) biases over the whole statistic layout.
+
+        Active columns hold their weight rows; inactive ones are zero with
+        bias -inf, so on finite features (which _as_feature_matrix ensures)
+        their scores are -inf and expit maps them to exactly 0.
+        """
+        width = self.s * self.s + 1
+        W = np.zeros((self.d, width))
+        W[:, self.active_flats] = self.weights[:, : self.d].T
+        bias = np.full(width, -np.inf)
+        bias[self.active_flats] = self.weights[:, self.d]
+        return W, bias
+
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means; inactive coordinates are exactly 0."""
         X = _as_feature_matrix(X, self.d)
-        out = np.zeros((X.shape[0], self.s * self.s + 1))
-        for rows, scores in self._score_chunks(X):
-            out[rows, self.active_flats] = expit(scores, out=scores)
+        W, bias = self._flat_scoring
+        out = np.empty((X.shape[0], W.shape[1]))
+        for rows, X_rows in _row_blocks(X, self.s):
+            scores = X_rows @ W
+            scores += bias
+            expit(scores, out=out[rows])
         return out
 
 

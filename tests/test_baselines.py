@@ -232,3 +232,18 @@ class TestBrModel:
             train_br(data_empty, TrainConfig())
         with pytest.raises(ValueError, match="empty"):
             train_efp(data_empty, TrainConfig(), B1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_models_reject_non_finite_features(bad, form):
+    rng = np.random.default_rng(3)
+    efp = EfpModel(s=2, d=3, beta=B1, counts=(1, 2), weights=rng.normal(size=(1 + 2 * 3, 4)),
+                   bias=True, reg_lambda=0.0)
+    br = BrModel(s=2, d=3, weights=rng.normal(size=(2, 4)), bias=True, reg_lambda=0.0)
+    X = np.array([[0.5, 0.0, 1.0], [0.0, bad, 0.0]])
+    if form == "sparse":
+        X = sparse.csr_matrix(X)
+    for call in (efp.stat_prob_rows, efp.predict_rows, br.score_rows, br.predict_rows):
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            call(X)

@@ -29,7 +29,7 @@ from fbetamax.fmeasure import BetaParam, LabelVec
 from fbetamax.surrogate import SurrogateConfig
 from fbetamax.dataio import _BLOCK_ROWS as B
 from fbetamax.synth import build_distribution, sample_batch, to_dataset
-from fbetamax.training import Dataset, TrainConfig, train_surrogate
+from fbetamax.training import Dataset, LinearModel, TrainConfig, train_surrogate
 
 B1 = BetaParam(1.0)
 
@@ -389,6 +389,27 @@ class TestModelRoundTrip:
         body = [[float(v) for v in line.split(" ")] for line in p.read_text().splitlines()[9:]]
         assert _same_doubles(body, model.weights)
         assert _same_doubles(load_model(p, expected_algo=algo).weights, model.weights)
+
+    @pytest.mark.parametrize("algo, s", [("surrogate", 33), ("br", B + 5)])
+    def test_body_written_in_blocks_matches_one_string(self, tmp_path, algo, s):
+        # 1 + 33^2 = 1090 surrogate rows and B + 5 BR rows: more than one write block
+        rng = np.random.default_rng(12)
+        W = rng.normal(size=(1 + s * s if algo == "surrogate" else s, 3))
+        W[0, :2] = SPECIAL_FLOATS[:2]
+        W[-1, :2] = SPECIAL_FLOATS[2:4]
+        if algo == "surrogate":
+            model = LinearModel(s=s, d=2, beta=B1, active_indices=SurrogateConfig.full(s, B1)
+                                .active_indices, weights=W, bias=True, reg_lambda=0.01)
+        else:
+            model = BrModel(s=s, d=2, weights=W, bias=True, reg_lambda=0.01)
+        assert len(model.weights) > B
+        p = tmp_path / "m.mlmodel"
+        save_model(model, p)
+        data = p.read_bytes()
+        header = b"".join(data.splitlines(keepends=True)[:9])
+        body = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in W.tolist())
+        assert data == header + body.encode("utf-8")
+        assert _same_doubles(load_model(p, expected_algo=algo).weights, W)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_models_compare_by_identity(self, tmp_path, algo):

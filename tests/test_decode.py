@@ -224,6 +224,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             DecodeInput(StatVec(1, np.array([np.nan, 0.5])), B1)
 
+    @pytest.mark.parametrize("bad, needle", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        (1.5, r"\[0, 1\]"), (-0.5, r"\[0, 1\]"),
+    ])
+    @pytest.mark.parametrize("col", [0, 1, 50 * 50])
+    def test_rows_reject_a_bad_entry_in_the_last_chunk(self, bad, needle, col):
+        s = 50
+        m = 2 * chunk_rows(s) + 1
+        rng = np.random.default_rng(900)
+        base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)])
+        P = base[np.arange(m) % CYCLE]
+        P[-1, col] = bad
+        with pytest.raises(ValueError, match=needle):
+            decode_rows(P, s, B1)
+
     def test_tolerates_tiny_overshoot(self):
         q = StatVec(1, np.array([-1e-10, 1.0 + 1e-10]))
         assert decode_fast(DecodeInput(q, B1)) == LabelVec((1,))

@@ -389,6 +389,17 @@ class TestLinearModelPrediction:
             assert bits.shape == (m, s)
             np.testing.assert_array_equal(bits, decode_rows(probs, s, B1)[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("method", ["score_rows", "stat_prob_rows", "predict_rows"])
+    def test_non_finite_features_rejected(self, bad, form, method):
+        model = self._tiny_model(counts=[1])
+        X = np.array([[0.5, 0.0, 1.0], [bad, 0.0, 0.0]])
+        if form == "sparse":
+            X = sparse.csr_matrix(X)
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            getattr(model, method)(X)
+
     def test_feature_width_mismatch(self):
         model = self._tiny_model()
         with pytest.raises(ValueError, match="columns"):
