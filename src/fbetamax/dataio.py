@@ -82,9 +82,12 @@ def _parsed_blocks(fh, lineno: int, parse, rescan, *args):
         lineno += len(rows)
 
 
-def _float_text(rows: np.ndarray) -> str:
-    """One LF-terminated line of space-separated 17-digit floats per row."""
-    return "".join(" ".join(map(_fmt, row)) + "\n" for row in rows.tolist())
+def _write_float_rows(fh, rows: np.ndarray) -> None:
+    """Write one LF-terminated line of space-separated 17-digit floats per row,
+    _BLOCK_ROWS rows at a time, so the text is never held whole."""
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        fh.write("".join(" ".join(map(_fmt, row)) + "\n"
+                         for row in rows[lo:lo + _BLOCK_ROWS].tolist()))
 
 
 def _tag_text(bits: np.ndarray) -> list[str]:
@@ -239,8 +242,7 @@ def save_stat_probs(prob_rows: np.ndarray, s: int, path) -> None:
         raise ValueError(f"expected shape (m, {s * s + 1})")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{_SIDE_MAGIC} s={s}\n")
-        for lo in range(0, len(prob_rows), _BLOCK_ROWS):
-            fh.write(_float_text(prob_rows[lo:lo + _BLOCK_ROWS]))
+        _write_float_rows(fh, prob_rows)
 
 
 def _stat_prob_block(rows: list[str], width: int) -> np.ndarray:
@@ -355,8 +357,7 @@ def save_model(model, path) -> None:
                            counts, len(model.weights))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in header))
-        for lo in range(0, len(model.weights), _BLOCK_ROWS):
-            fh.write(_float_text(model.weights[lo:lo + _BLOCK_ROWS]))
+        _write_float_rows(fh, model.weights)
 
 
 def _parse_model_header(lines: list[str]) -> dict:

@@ -44,10 +44,10 @@ MAX_BRUTE_S = 20
 # decode_rows and LinearModel scoring work on row chunks of about this many
 # statistic entries (s^2+1 per row), 8 MB per float64 temporary.  Chunks a
 # quarter this size scored and decoded the 12000 s = 50 rows of the
-# predict-s50 benchmark in the same time (1.25-1.43 s against 1.32-1.46 s),
-# but scored 15000 dense rows at s = 6, d = 100 about 25% slower
-# (0.038-0.050 s against 0.029-0.040 s), in three CSR row slices instead of
-# one product; four runs each, 2 vCPU, one BLAS thread.
+# predict-s50 benchmark in the same time (0.99-1.41 s against 1.20-1.48 s),
+# but scored 15000 dense rows at s = 6, d = 100 about 12% slower in the
+# median (0.034-0.049 s against 0.026-0.041 s), in three CSR row slices
+# instead of one product; four runs each, 2 vCPU, one BLAS thread.
 CHUNK_ENTRIES = 1 << 20
 
 _BRUTE_CACHE_MAX_S = 12
