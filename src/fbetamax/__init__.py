@@ -7,7 +7,7 @@ decodes predictions by an exact cubic-time minimization over all labelings.
 """
 
 from .baselines import BrModel, EfpModel, train_br, train_efp
-from .decoding import DecodeInput, decode_brute, decode_fast, decode_rows
+from .decoding import decode_brute, decode_rows
 from .evaluation import (
     DEFAULT_REG_GRID,
     EvalReport,
@@ -22,7 +22,6 @@ from .fmeasure import (
     BetaParam,
     LabelVec,
     StatIndex,
-    StatVec,
     expected_fbeta,
     fbeta,
     label_stats,

@@ -13,6 +13,9 @@ first offending line and token.
 
 from __future__ import annotations
 
+import os
+import secrets
+from contextlib import suppress
 from itertools import compress, islice
 
 import numpy as np
@@ -203,6 +206,13 @@ def load_dataset(path) -> Dataset:
             raise DataFormatError("line 1: s and d must be integers") from None
         if s < 1 or d < 1:
             raise DataFormatError("line 1: s and d must be >= 1")
+        # each block's labels become a (rows, s) bit matrix: a width that
+        # matrix cannot take is a header error, not a MemoryError mid-file
+        try:
+            np.empty((_BLOCK_ROWS, s), dtype=np.uint8)
+        except (MemoryError, ValueError):
+            raise DataFormatError(f"line 1: {_BLOCK_ROWS} rows of s={s} tags "
+                                  f"do not fit in memory") from None
 
         pieces = [(np.zeros((0, s), dtype=np.uint8), np.zeros(0, dtype=np.intp),
                    np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float64))]
@@ -467,6 +477,40 @@ def load_model(path, expected_algo: str | None = None):
     )
 
 
+def _interchange_row(line: str, lineno: int, s: int, d: int, shift: int) -> str:
+    """One interchange body line as an LF-terminated dataset line; raises naming lineno."""
+    parts = line.split(" ")
+    label_part = ""
+    feats = parts
+    if parts and ":" not in parts[0]:
+        label_part, feats = parts[0], parts[1:]
+    try:
+        tags = sorted({int(tok) + shift for tok in label_part.split(",") if tok != ""})
+    except ValueError:
+        raise DataFormatError(f"line {lineno}: bad label index in {label_part!r}") from None
+    if any(not 1 <= j <= s for j in tags):
+        raise DataFormatError(f"line {lineno}: label index out of range")
+    pairs = {}
+    for tok in feats:
+        if not tok:
+            continue
+        # a token without ':' leaves val_txt empty, which float() rejects
+        idx_txt, _, val_txt = tok.partition(":")
+        try:
+            idx, val = int(idx_txt) + shift, float(val_txt)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}") from None
+        if not np.isfinite(val):
+            raise DataFormatError(f"line {lineno}: feature value {val_txt!r} is not finite")
+        if not 1 <= idx <= d:
+            raise DataFormatError(f"line {lineno}: feature index out of range")
+        if idx in pairs:
+            raise DataFormatError(f"line {lineno}: duplicate feature index {idx_txt}")
+        pairs[idx] = val
+    feat_txt = " ".join(f"{idx}:{_fmt(pairs[idx])}" for idx in sorted(pairs))
+    return f"{','.join(str(t) for t in tags)}\t{feat_txt}\n"
+
+
 def convert_interchange(src, dst, zero_based: bool = True) -> None:
     """Convert the common 'header then label,label idx:val ...' layout.
 
@@ -474,10 +518,15 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
     and feature indices are 0-based by default.  Output is a dataset file.
     A point count that disagrees with the header, a malformed or duplicate
     feature, or a non-finite value raises with the line number.
+
+    The source is read twice, line by line: once to count its points, then
+    to convert them a block at a time into a temporary file beside dst,
+    which replaces dst only once every line has converted.  A failed
+    conversion leaves dst as it was.
     """
     with _open_lines(src) as fh:
-        lines = fh.read().split("\n")
-    head = lines[0].split() if lines else []
+        head = fh.readline().split()
+        n_body = sum(1 for _ in fh)
     if len(head) != 3:
         raise DataFormatError("line 1: expected 'num_points num_features num_labels'")
     try:
@@ -486,45 +535,23 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
         raise DataFormatError("line 1: counts must be integers") from None
     if m < 0 or d < 1 or s < 1:
         raise DataFormatError("line 1: num_points must be >= 0, the other counts >= 1")
-    body = lines[1:]
-    if body and body[-1] == "":
-        body.pop()  # trailing newline
-    if len(body) != m:
+    if n_body != m:
         raise DataFormatError(
-            f"line {min(len(body), m) + 2}: header declares {m} points, file holds {len(body)}"
+            f"line {min(n_body, m) + 2}: header declares {m} points, file holds {n_body}"
         )
     shift = 1 if zero_based else 0
-    out = [f"{_DATASET_MAGIC} s={s} d={d}"]
-    for lineno, line in enumerate(body, start=2):
-        parts = line.split(" ")
-        label_part = ""
-        feats = parts
-        if parts and ":" not in parts[0]:
-            label_part, feats = parts[0], parts[1:]
-        try:
-            tags = sorted({int(tok) + shift for tok in label_part.split(",") if tok != ""})
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: bad label index in {label_part!r}") from None
-        if any(not 1 <= j <= s for j in tags):
-            raise DataFormatError(f"line {lineno}: label index out of range")
-        pairs = {}
-        for tok in feats:
-            if not tok:
-                continue
-            # a token without ':' leaves val_txt empty, which float() rejects
-            idx_txt, _, val_txt = tok.partition(":")
-            try:
-                idx, val = int(idx_txt) + shift, float(val_txt)
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}") from None
-            if not np.isfinite(val):
-                raise DataFormatError(f"line {lineno}: feature value {val_txt!r} is not finite")
-            if not 1 <= idx <= d:
-                raise DataFormatError(f"line {lineno}: feature index out of range")
-            if idx in pairs:
-                raise DataFormatError(f"line {lineno}: duplicate feature index {idx_txt}")
-            pairs[idx] = val
-        feat_txt = " ".join(f"{idx}:{_fmt(pairs[idx])}" for idx in sorted(pairs))
-        out.append(f"{','.join(str(t) for t in tags)}\t{feat_txt}")
-    with open(dst, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    tmp = f"{os.fspath(dst)}.{secrets.token_hex(8)}.tmp"
+    try:
+        with _open_lines(src) as fh, open(tmp, "x", encoding="utf-8", newline="\n") as out:
+            fh.readline()
+            out.write(f"{_DATASET_MAGIC} s={s} d={d}\n")
+            lineno = 2
+            while rows := list(islice(fh, _BLOCK_ROWS)):
+                out.write("".join(_interchange_row(line.rstrip("\n"), lineno + r, s, d, shift)
+                                  for r, line in enumerate(rows)))
+                lineno += len(rows)
+        os.replace(tmp, dst)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

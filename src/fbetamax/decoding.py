@@ -10,22 +10,17 @@ kept alongside for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .fmeasure import BetaParam, LabelVec, StatVec, all_labelings, loss_coeffs_matrix
+from .fmeasure import BetaParam, LabelVec, loss_coeffs_matrix
 
 __all__ = [
     "CHUNK_ENTRIES",
     "MAX_BRUTE_S",
     "PROB_TOL",
     "TIE_RTOL",
-    "DecodeInput",
     "chunk_rows",
     "decode_brute",
-    "decode_fast",
     "decode_rows",
     "row_chunks",
 ]
@@ -50,26 +45,7 @@ MAX_BRUTE_S = 20
 # instead of one product; four runs each, 2 vCPU, one BLAS thread.
 CHUNK_ENTRIES = 1 << 20
 
-_BRUTE_CACHE_MAX_S = 12
 _BRUTE_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class DecodeInput:
-    """Estimated statistic means plus the beta they will be decoded under."""
-
-    probs: StatVec
-    beta: BetaParam
-
-    def __post_init__(self) -> None:
-        entries = self.probs.entries
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("estimated means must be finite")
-        if entries.min() < -PROB_TOL or entries.max() > 1.0 + PROB_TOL:
-            raise ValueError(
-                f"estimated means must lie in [0, 1] up to {PROB_TOL:g}; "
-                f"saw range [{entries.min():g}, {entries.max():g}]"
-            )
 
 
 def _coeff_table(s: int, beta: BetaParam) -> np.ndarray:
@@ -143,21 +119,6 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     return bits, objectives
 
 
-def decode_fast(inp: DecodeInput) -> LabelVec:
-    """Minimize <q, loss_coeffs(yhat)> over all labelings in O(s^3)."""
-    s = inp.probs.s
-    bits, _ = decode_rows(inp.probs.entries[None, :], s, inp.beta)
-    return LabelVec(tuple(int(b) for b in bits[0]))
-
-
-@lru_cache(maxsize=64)
-def _enumeration_tables(s: int, beta_value: float):
-    """All candidate labelings with their coefficient rows and tie keys."""
-    bits = all_labelings(s)
-    coeffs = loss_coeffs_matrix(bits, BetaParam(beta_value))
-    return bits, coeffs, _tie_keys(bits, s)
-
-
 def _tie_keys(bits: np.ndarray, s: int) -> np.ndarray:
     """Brute-force tie order: popcount first, then the smallest tag indices."""
     pop = bits.sum(axis=1).astype(np.int64)
@@ -172,28 +133,24 @@ def _code_bits(codes: np.ndarray, s: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(s, dtype=np.int64)) & 1).astype(np.uint8)
 
 
-def decode_brute(inp: DecodeInput) -> LabelVec:
-    """Enumeration oracle for decode_fast; refuses s > MAX_BRUTE_S.
+def decode_brute(q: np.ndarray, s: int, beta: BetaParam) -> LabelVec:
+    """Enumeration oracle for decode_rows on one mean vector q of shape (s^2+1,).
 
     Scans every labeling and evaluates <q, loss_coeffs(yhat)> straight from
-    the coefficient definition.  Objectives within TIE_RTOL of the minimum
-    tie, and ties resolve as in decode_rows: toward smaller popcount, then
-    toward smaller tag indices.
+    the coefficient definition; refuses s > MAX_BRUTE_S.  Objectives within
+    TIE_RTOL of the minimum tie, and ties resolve as in decode_rows: toward
+    smaller popcount, then toward smaller tag indices.
     """
-    s = inp.probs.s
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (s * s + 1,):
+        raise ValueError(f"expected shape ({s * s + 1},), got {q.shape}")
     if s > MAX_BRUTE_S:
         raise ValueError(f"brute-force decoding is limited to s <= {MAX_BRUTE_S}")
-    q = inp.probs.entries
-    if s <= _BRUTE_CACHE_MAX_S:
-        bits, coeffs, tie = _enumeration_tables(s, inp.beta.beta)
-        cand = np.flatnonzero(_near_min(coeffs @ q))
-        return LabelVec(tuple(int(b) for b in bits[cand[np.argmin(tie[cand])]]))
-
     # one objective per labeling, scored chunk by chunk; the coefficient rows
     # are the large temporaries, so only they stay O(_BRUTE_CHUNK)
     codes = np.arange(1 << s, dtype=np.int64)
     objs = np.concatenate([
-        loss_coeffs_matrix(_code_bits(codes[lo:lo + _BRUTE_CHUNK], s), inp.beta) @ q
+        loss_coeffs_matrix(_code_bits(codes[lo:lo + _BRUTE_CHUNK], s), beta) @ q
         for lo in range(0, codes.size, _BRUTE_CHUNK)
     ])
     cand = codes[_near_min(objs)]

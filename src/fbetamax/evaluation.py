@@ -85,18 +85,6 @@ def _as_bit_matrix(labelings: Sequence[LabelVec] | np.ndarray) -> np.ndarray:
     return np.array([y.bits for y in labelings], dtype=np.int64)
 
 
-def instance_fbeta_rows(pred_bits: np.ndarray, true_bits: np.ndarray,
-                        beta: BetaParam) -> np.ndarray:
-    """Per-instance F-beta for aligned bit matrices, with the 0/0 = 1 rule."""
-    inter = (pred_bits & true_bits).sum(axis=1)
-    n_true = true_bits.sum(axis=1)
-    n_pred = pred_bits.sum(axis=1)
-    denom = beta.beta_sq * n_true + n_pred
-    both_empty = denom == 0
-    denom = np.where(both_empty, 1.0, denom)
-    return np.where(both_empty, 1.0, (1.0 + beta.beta_sq) * inter / denom)
-
-
 def evaluate_bits(pred_bits: np.ndarray, true_bits: np.ndarray, beta: BetaParam) -> EvalReport:
     """Instance-averaged F-beta, precision, and recall for bit matrices."""
     pred_bits = _as_bit_matrix(pred_bits)
@@ -113,9 +101,13 @@ def evaluate_bits(pred_bits: np.ndarray, true_bits: np.ndarray, beta: BetaParam)
     n_pred = pred_bits.sum(axis=1)
     prec = np.where(n_pred == 0, 1.0, inter / np.where(n_pred == 0, 1, n_pred))
     rec = np.where(n_true == 0, 1.0, inter / np.where(n_true == 0, 1, n_true))
+    # F-beta per instance, with the 0/0 = 1 rule
+    denom = beta.beta_sq * n_true + n_pred
+    both_empty = denom == 0
+    f = np.where(both_empty, 1.0, (1.0 + beta.beta_sq) * inter / np.where(both_empty, 1.0, denom))
     return EvalReport(
         m_test=m,
-        mean_f=float(np.mean(instance_fbeta_rows(pred_bits, true_bits, beta))),
+        mean_f=float(np.mean(f)),
         mean_precision=float(np.mean(prec)),
         mean_recall=float(np.mean(rec)),
     )

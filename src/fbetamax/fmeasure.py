@@ -7,6 +7,9 @@ between the true side's statistic vector and a coefficient vector built
 from the predicted side alone.  Expected scores under a label distribution
 therefore only need the coordinate-wise means of the statistics, which is
 what the estimation and decoding pipeline in this package exploits.
+
+A statistic vector is a float64 array of shape (s^2+1,) in the flat layout
+of StatIndex; a batch of them is an (m, s^2+1) array, one per row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ __all__ = [
     "BetaParam",
     "LabelVec",
     "StatIndex",
-    "StatVec",
     "all_labelings",
     "expected_fbeta",
     "fbeta",
@@ -145,56 +147,6 @@ def iter_stat_indices(s: int) -> Iterator[StatIndex]:
             yield StatIndex.pair(j, k)
 
 
-@dataclass(frozen=True)
-class StatVec:
-    """A real vector over the s^2 + 1 statistic coordinates.
-
-    Holds per-labeling statistics, their conditional means, scores, or
-    gradients, depending on context.  When it represents the conditional
-    means q of the statistics under a label distribution, the entries lie
-    in [0, 1] and satisfy entry(zero) + sum_k (1/k) sum_j entry(j,k) = 1.
-    """
-
-    s: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
-        entries = np.array(self.entries, dtype=np.float64)
-        if entries.shape != (self.s * self.s + 1,):
-            raise ValueError(
-                f"expected {self.s * self.s + 1} entries for s={self.s}, "
-                f"got shape {entries.shape}"
-            )
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def __getitem__(self, index: StatIndex) -> float:
-        return float(self.entries[index.flat(self.s)])
-
-    @property
-    def zero(self) -> float:
-        return float(self.entries[0])
-
-    def pair(self, j: int, k: int) -> float:
-        return float(self.entries[StatIndex.pair(j, k).flat(self.s)])
-
-    def pairs_matrix(self) -> np.ndarray:
-        """The pair block as an (s, s) matrix with rows = tags, columns = counts."""
-        return self.entries[1:].reshape(self.s, self.s)
-
-    def count_mass(self) -> float:
-        """entry(zero) + sum_k (1/k) sum_j entry(j,k); equals 1 for valid means."""
-        per_count = self.pairs_matrix().sum(axis=0)
-        ks = np.arange(1, self.s + 1, dtype=np.float64)
-        return float(self.entries[0] + np.sum(per_count / ks))
-
-    @classmethod
-    def zeros(cls, s: int) -> "StatVec":
-        return cls(s, np.zeros(s * s + 1))
-
-
 def _check_same_s(y: LabelVec, yhat: LabelVec) -> None:
     if y.s != yhat.s:
         raise ValueError(f"labelings disagree on tag count: {y.s} vs {yhat.s}")
@@ -232,8 +184,8 @@ def recall(y: LabelVec, yhat: LabelVec) -> float:
     return inter / y.popcount
 
 
-def label_stats(y: LabelVec) -> StatVec:
-    """The 0/1 statistic vector of a labeling.
+def label_stats(y: LabelVec) -> np.ndarray:
+    """The 0/1 statistic vector of a labeling, of shape (s^2+1,).
 
     The zero slot flags an empty labeling; the (j,k) slot flags tag j being
     active in a labeling with exactly k active tags.  At most one count row
@@ -249,10 +201,10 @@ def label_stats(y: LabelVec) -> StatVec:
         for j, bit in enumerate(y.bits, start=1):
             if bit:
                 entries[1 + (j - 1) * s + (n - 1)] = 1.0
-    return StatVec(s, entries)
+    return entries
 
 
-def loss_coeffs(yhat: LabelVec, beta: BetaParam) -> StatVec:
+def loss_coeffs(yhat: LabelVec, beta: BetaParam) -> np.ndarray:
     """Coefficient vector of a prediction; <label_stats(y), loss_coeffs(yhat)> = -fbeta(y, yhat).
 
     The zero slot is -1 for an empty prediction and 0 otherwise; slot (j,k)
@@ -270,18 +222,20 @@ def loss_coeffs(yhat: LabelVec, beta: BetaParam) -> StatVec:
             if bit:
                 for k in range(1, s + 1):
                     entries[1 + (j - 1) * s + (k - 1)] = -scale / (beta.beta_sq * k + n)
-    return StatVec(s, entries)
+    return entries
 
 
-def expected_fbeta(q: StatVec, yhat: LabelVec, beta: BetaParam) -> float:
-    """Expected F-beta of a fixed prediction under statistic means q.
+def expected_fbeta(q: np.ndarray, yhat: LabelVec, beta: BetaParam) -> float:
+    """Expected F-beta of a fixed prediction under statistic means q, of shape (s^2+1,).
 
     Equals -<q, loss_coeffs(yhat, beta)>; exact whenever q holds the
     conditional means of the statistics.
     """
-    if q.s != yhat.s:
-        raise ValueError(f"statistic vector is over {q.s} tags, prediction over {yhat.s}")
-    return float(-(q.entries @ loss_coeffs(yhat, beta).entries))
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (yhat.s * yhat.s + 1,):
+        raise ValueError(f"statistic vector of shape {q.shape} does not fit a prediction "
+                         f"over {yhat.s} tags")
+    return float(-(q @ loss_coeffs(yhat, beta)))
 
 
 def all_labelings(s: int) -> np.ndarray:

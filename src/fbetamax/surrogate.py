@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fmeasure import BetaParam, LabelVec, StatIndex, StatVec, label_stats, label_stats_matrix
+from .fmeasure import BetaParam, LabelVec, StatIndex, label_stats, label_stats_matrix
 from .losses import logistic_gradient, logistic_loss
 
 __all__ = [
@@ -94,31 +94,34 @@ class SurrogateConfig:
         return len(self.active_indices)
 
 
-def surrogate_loss(y: LabelVec, scores: StatVec, cfg: SurrogateConfig) -> float:
+def _active_stats_and_scores(y: LabelVec, scores: np.ndarray,
+                             cfg: SurrogateConfig) -> tuple[np.ndarray, np.ndarray]:
+    """a(y) and the scores, each at the active coordinates of cfg."""
+    u = np.asarray(scores, dtype=np.float64)
+    if y.s != cfg.s or u.shape != (cfg.s * cfg.s + 1,):
+        raise ValueError("labeling, scores, and config must agree on the tag count")
+    return label_stats(y)[cfg.active_flats], u[cfg.active_flats]
+
+
+def surrogate_loss(y: LabelVec, scores: np.ndarray, cfg: SurrogateConfig) -> float:
     """Sum over active coordinates of the logistic loss at that coordinate.
 
-    Coordinate i contributes phi(+1, u_i) when the statistic a_i(y) is 1 and
-    phi(-1, u_i) when it is 0.
+    scores has shape (s^2+1,).  Coordinate i contributes phi(+1, u_i) when
+    the statistic a_i(y) is 1 and phi(-1, u_i) when it is 0.
     """
-    if y.s != cfg.s or scores.s != cfg.s:
-        raise ValueError("labeling, scores, and config must agree on the tag count")
-    a = label_stats(y).entries[cfg.active_flats]
-    u = scores.entries[cfg.active_flats]
+    a, u = _active_stats_and_scores(y, scores, cfg)
     return float(np.sum(logistic_loss(2.0 * a - 1.0, u)))
 
 
-def surrogate_gradient(y: LabelVec, scores: StatVec, cfg: SurrogateConfig) -> StatVec:
+def surrogate_gradient(y: LabelVec, scores: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
     """Gradient of surrogate_loss in the scores; zero at inactive coordinates.
 
     The active entries are sigmoid(u_i) - a_i(y).
     """
-    if y.s != cfg.s or scores.s != cfg.s:
-        raise ValueError("labeling, scores, and config must agree on the tag count")
-    a = label_stats(y).entries[cfg.active_flats]
-    u = scores.entries[cfg.active_flats]
-    entries = np.zeros(cfg.s * cfg.s + 1)
-    entries[cfg.active_flats] = logistic_gradient(2.0 * a - 1.0, u)
-    return StatVec(cfg.s, entries)
+    a, u = _active_stats_and_scores(y, scores, cfg)
+    grad = np.zeros(cfg.s * cfg.s + 1)
+    grad[cfg.active_flats] = logistic_gradient(2.0 * a - 1.0, u)
+    return grad
 
 
 def binary_targets(data, index: StatIndex) -> np.ndarray:

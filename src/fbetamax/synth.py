@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fmeasure import LabelVec, StatVec, all_labelings, label_stats_matrix, labelvec_rows
+from .fmeasure import LabelVec, all_labelings, label_stats_matrix, labelvec_rows
 from .losses import logit_link
 from .training import Dataset
 
@@ -59,11 +59,6 @@ class SynthDistribution:
     @property
     def n_outcomes(self) -> int:
         return self.support_bits.shape[0]
-
-    @cached_property
-    def labelings(self) -> tuple[LabelVec, ...]:
-        """One shared LabelVec per support row, indexed by outcome."""
-        return tuple(LabelVec(tuple(row)) for row in self.support_bits.tolist())
 
 
 def _support_bits(s: int, support: str) -> np.ndarray:
@@ -121,12 +116,12 @@ def build_distribution(
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """One draw: features, sampled labeling, outcome probabilities, true means."""
+    """One draw: features, sampled labeling, outcome probabilities, true means (s^2+1,)."""
 
     features: np.ndarray
     labeling: LabelVec
     outcome_probs: np.ndarray
-    stat_probs: StatVec
+    stat_probs: np.ndarray
 
 
 def _point_rng(dist: SynthDistribution, index: int, stream: int) -> np.random.Generator:
@@ -184,9 +179,9 @@ def sample_point(dist: SynthDistribution, index: int, stream: int = 0) -> Sample
     P, Q, X, outcomes = _sample_rows(dist, index, index + 1, stream)
     return SamplePoint(
         features=X[0],
-        labeling=dist.labelings[outcomes[0]],
+        labeling=LabelVec(tuple(dist.support_bits[outcomes[0]].tolist())),
         outcome_probs=P[0],
-        stat_probs=StatVec(dist.s, Q[0]),
+        stat_probs=Q[0],
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -13,17 +14,22 @@ ACCEPT_SEED = 0
 LADDER_SIZES = (100, 316, 1000, 3162, 10000)
 
 
+def count_mass(q: np.ndarray) -> float:
+    """entry(zero) + sum_k (1/k) sum_j entry(j,k) of an (s^2+1,) vector; 1 for valid means."""
+    s = math.isqrt(q.size - 1)
+    per_count = q[1:].reshape(s, s).sum(axis=0)
+    return float(q[0] + np.sum(per_count / np.arange(1, s + 1, dtype=np.float64)))
+
+
 def random_valid_means(s: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform entries scaled onto the count-mass constraint, rejecting overshoots.
 
-    The scaling keeps entry(zero) + sum_k (1/k) sum_j entry(j,k) = 1; a
-    rescaled entry can exceed 1 only for small s, in which case redraw.
+    The scaling makes count_mass(q) = 1; a rescaled entry can exceed 1 only
+    for small s, in which case redraw.
     """
     while True:
         u = rng.uniform(size=s * s + 1)
-        per_count = u[1:].reshape(s, s).sum(axis=0)
-        total = u[0] + np.sum(per_count / np.arange(1, s + 1))
-        q = u / total
+        q = u / count_mass(u)
         if q.max() <= 1.0:
             return q
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from fbetamax.decoding import DecodeInput, decode_brute, decode_rows
+from fbetamax.decoding import decode_brute, decode_rows
 from fbetamax.evaluation import (
     DEFAULT_REG_GRID,
     cross_validate,
@@ -23,7 +23,6 @@ from fbetamax.evaluation import (
 from fbetamax.fmeasure import (
     BetaParam,
     LabelVec,
-    StatVec,
     all_labelings,
     expected_fbeta,
     fbeta,
@@ -85,9 +84,8 @@ def test_criterion_2_decode_oracle_equivalence():
             brute_obj = (Q @ loss_coeffs_matrix(enum_bits, beta).T).min(axis=1)
             worst = max(worst, float(np.max(np.abs(fast_obj - brute_obj))))
             for i in range(0, 1000, 100):
-                q = StatVec(s, Q[i])
-                got = decode_brute(DecodeInput(q, beta))
-                assert -expected_fbeta(q, got, beta) == pytest.approx(
+                got = decode_brute(Q[i], s, beta)
+                assert -expected_fbeta(Q[i], got, beta) == pytest.approx(
                     brute_obj[i], abs=1e-12
                 )
     elapsed = time.perf_counter() - start
@@ -165,17 +163,14 @@ def test_criterion_6_strong_properness_and_gradient():
     cfg = SurrogateConfig.full(s, BetaParam(1.0))
     y = LabelVec((1, 0, 1, 0))
     u = rng.uniform(-3.0, 3.0, size=s * s + 1)
-    grad = surrogate_gradient(y, StatVec(s, u), cfg).entries
+    grad = surrogate_gradient(y, u, cfg)
     h = 1e-5
     worst_rel = 0.0
     for i in range(s * s + 1):
         up, dn = u.copy(), u.copy()
         up[i] += h
         dn[i] -= h
-        fd = (
-            surrogate_loss(y, StatVec(s, up), cfg)
-            - surrogate_loss(y, StatVec(s, dn), cfg)
-        ) / (2.0 * h)
+        fd = (surrogate_loss(y, up, cfg) - surrogate_loss(y, dn, cfg)) / (2.0 * h)
         worst_rel = max(worst_rel, abs(fd - grad[i]) / max(1e-8, abs(grad[i])))
     _gate(
         "criterion 6, strong properness and gradient",

@@ -224,6 +224,18 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_tag_width_too_large_to_allocate(self, tmp_path, capsys):
+        data = tmp_path / "wide.txt"
+        data.write_text("#ml-sparse v1 s=1000000000000000 d=1\n1\t\n")
+        model = tmp_path / "m.txt"
+        code, _, err = _run(
+            capsys, "train", "--algo", "br", "--input", str(data), "--model-out", str(model),
+        )
+        assert code == 1
+        assert err == ("error: line 1: 1024 rows of s=1000000000000000 tags "
+                       "do not fit in memory\n")
+        assert not model.exists()
+
     def test_too_few_features_for_synth(self, tmp_path, capsys):
         code, _, err = _run(
             capsys, "synth", "--s", "3", "--d", "5", "--out-dir", str(tmp_path / "x"),

@@ -98,6 +98,15 @@ class TestLoadDataset:
         _write(p, "#ml-sparse v1 s=2 d=2\n1,1,2\t\n")
         assert load_dataset(p).bits.tolist() == [[1, 1]]
 
+    @pytest.mark.parametrize("s", [10**15, 10**30])
+    def test_tag_width_too_large_to_allocate_is_a_header_error(self, tmp_path, s):
+        # 10^15 tags per row are ~1 PB per block, far beyond any address
+        # space; 10^30 exceeds numpy's largest array size
+        p = tmp_path / "wide.txt"
+        _write(p, f"#ml-sparse v1 s={s} d=1\n1\t\n")
+        with pytest.raises(DataFormatError, match=f"^line 1: .* s={s} tags do not fit in memory$"):
+            load_dataset(p)
+
     def test_header_only_file_is_empty_dataset_error(self, tmp_path):
         # zero rows cannot form a Dataset downstream, but loading is exact
         p = tmp_path / "empty.txt"
@@ -508,6 +517,32 @@ class TestConvertInterchange:
         assert f"line {lineno}:" in str(err.value)
         assert needle in str(err.value)
         assert not dst.exists()
+
+    def test_failed_conversion_keeps_old_output_and_leaves_no_temporary(self, tmp_path):
+        src = tmp_path / "src.txt"
+        dst = tmp_path / "dst.txt"
+        _write(dst, "old bytes\n")
+        # the bad pair sits past the first write block
+        _write(src, f"{B + 2} 3 2\n" + "0 1:0.5\n" * (B + 1) + "1 x:1\n")
+        with pytest.raises(DataFormatError, match=f"^line {B + 3}: bad feature pair 'x:1'$"):
+            convert_interchange(src, dst)
+        assert dst.read_text() == "old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dst.txt", "src.txt"]
+        # a good conversion replaces the old output
+        _write(src, "1 3 2\n0 1:0.5\n")
+        convert_interchange(src, dst)
+        assert dst.read_text() == "#ml-sparse v1 s=2 d=3\n1\t2:0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dst.txt", "src.txt"]
+
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    def test_output_bytes_across_write_blocks(self, tmp_path, m):
+        src = tmp_path / "src.txt"
+        dst = tmp_path / "dst.txt"
+        rows = [f"{i % 2},1 {i % 3}:{i}.5 4:-{i}" for i in range(m)]
+        _write(src, f"{m} 5 2\n" + "".join(row + "\n" for row in rows))
+        convert_interchange(src, dst)
+        want = [f"{'1,2' if i % 2 == 0 else '2'}\t{i % 3 + 1}:{i}.5 5:-{i}" for i in range(m)]
+        assert dst.read_text() == "#ml-sparse v1 s=2 d=5\n" + "".join(w + "\n" for w in want)
 
     def test_blank_line_is_an_empty_point(self, tmp_path):
         src = tmp_path / "src.txt"

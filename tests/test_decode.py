@@ -9,18 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbetamax.decoding import (
-    MAX_BRUTE_S,
-    DecodeInput,
-    chunk_rows,
-    decode_brute,
-    decode_fast,
-    decode_rows,
-)
+from fbetamax.decoding import MAX_BRUTE_S, chunk_rows, decode_brute, decode_rows
 from fbetamax.fmeasure import (
     BetaParam,
     LabelVec,
-    StatVec,
     all_labelings,
     expected_fbeta,
     label_stats,
@@ -52,52 +44,55 @@ def tie_heavy_means(s: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([rng.choice(halves, size=1), per_tag.ravel()])
 
 
-def _brute_objective(q: StatVec, yhat: LabelVec, beta: BetaParam) -> float:
+def _brute_objective(q: np.ndarray, yhat: LabelVec, beta: BetaParam) -> float:
     return -expected_fbeta(q, yhat, beta)
+
+
+def decode_one(q: np.ndarray, s: int, beta: BetaParam) -> LabelVec:
+    """decode_rows on the single row q, as a labeling comparable with decode_brute."""
+    bits, _ = decode_rows(q[None, :], s, beta)
+    return LabelVec(tuple(bits[0].tolist()))
 
 
 class TestWorkedCases:
     def test_single_tag_prefers_the_likely_tag(self):
         # q0 = 0.2, q11 = 0.8: predicting the tag scores 0.8 vs 0.2 for empty
-        q = StatVec(1, np.array([0.2, 0.8]))
-        got = decode_fast(DecodeInput(q, B1))
+        q = np.array([0.2, 0.8])
+        got = decode_one(q, 1, B1)
         assert got == LabelVec((1,))
         assert expected_fbeta(q, got, B1) == pytest.approx(0.8, abs=1e-15)
 
     def test_single_tag_prefers_empty_when_likelier(self):
-        q = StatVec(1, np.array([0.8, 0.2]))
-        assert decode_fast(DecodeInput(q, B1)) == LabelVec((0,))
+        q = np.array([0.8, 0.2])
+        assert decode_one(q, 1, B1) == LabelVec((0,))
 
     def test_point_mass_is_recovered(self):
         for beta in BETAS:
             for bits in [(0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 0)]:
                 y = LabelVec(bits)
                 q = label_stats(y)
-                got = decode_fast(DecodeInput(q, beta))
+                got = decode_one(q, y.s, beta)
                 assert got == y, (beta.beta, bits)
 
     def test_empty_wins_exact_tie(self):
         # -q0 = -0.5 ties the best single-tag value; both decoders keep empty
-        q = StatVec(2, np.array([0.5, 0.5, 0.0, 0.0, 0.0]))
-        inp = DecodeInput(q, B1)
-        assert decode_fast(inp) == LabelVec((0, 0))
-        assert decode_brute(inp) == LabelVec((0, 0))
+        q = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        assert decode_one(q, 2, B1) == LabelVec((0, 0))
+        assert decode_brute(q, 2, B1) == LabelVec((0, 0))
 
     def test_same_size_tie_keeps_smaller_tags(self):
         # tags 2 and 3 score alike; both decoders keep tag 1 and the smaller of the pair
-        q = StatVec(3, np.array([0.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-        inp = DecodeInput(q, BetaParam(0.5))
-        assert decode_fast(inp) == LabelVec((1, 1, 0))
-        assert decode_brute(inp) == LabelVec((1, 1, 0))
+        q = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        assert decode_one(q, 3, BetaParam(0.5)) == LabelVec((1, 1, 0))
+        assert decode_brute(q, 3, BetaParam(0.5)) == LabelVec((1, 1, 0))
 
     def test_tie_across_sizes_keeps_fewer_tags(self):
         # sizes 2 and 3 both reach -67/30 in exact arithmetic, but their
         # rounded sums differ; both decoders must still keep the smaller size
-        q = StatVec(3, np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
-        inp = DecodeInput(q, B1)
-        assert decode_fast(inp) == LabelVec((1, 1, 0))
-        assert decode_brute(inp) == LabelVec((1, 1, 0))
-        assert decode_rows(q.entries[None, :], 3, B1)[1][0] == pytest.approx(-67 / 30, rel=1e-15)
+        q = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        assert decode_one(q, 3, B1) == LabelVec((1, 1, 0))
+        assert decode_brute(q, 3, B1) == LabelVec((1, 1, 0))
+        assert decode_rows(q[None, :], 3, B1)[1][0] == pytest.approx(-67 / 30, rel=1e-15)
 
     @pytest.mark.parametrize("s", [20, 50])
     def test_alike_tags_fill_from_the_smallest_index(self, s):
@@ -128,11 +123,9 @@ class TestWorkedCases:
         rows = np.stack([random_valid_means(s, rng) for _ in range(40)])
         bits, objs = decode_rows(rows, s, B1)
         for i in range(rows.shape[0]):
-            one = decode_fast(DecodeInput(StatVec(s, rows[i]), B1))
+            one = decode_one(rows[i], s, B1)
             assert tuple(int(b) for b in bits[i]) == one.bits
-            assert objs[i] == pytest.approx(
-                _brute_objective(StatVec(s, rows[i]), one, B1), abs=1e-12
-            )
+            assert objs[i] == pytest.approx(_brute_objective(rows[i], one, B1), abs=1e-12)
 
 
 class TestOracleEquivalence:
@@ -141,10 +134,9 @@ class TestOracleEquivalence:
     def test_fast_matches_enumeration(self, s, beta):
         rng = np.random.default_rng(1000 + s)
         for _ in range(40):
-            q = StatVec(s, random_valid_means(s, rng))
-            inp = DecodeInput(q, beta)
-            fast = decode_fast(inp)
-            brute = decode_brute(inp)
+            q = random_valid_means(s, rng)
+            fast = decode_one(q, s, beta)
+            brute = decode_brute(q, s, beta)
             fo = _brute_objective(q, fast, beta)
             bo = _brute_objective(q, brute, beta)
             assert abs(fo - bo) <= 1e-9
@@ -170,8 +162,8 @@ class TestOracleEquivalence:
             for beta in BETAS:
                 for _ in range(20):
                     p = rng.dirichlet(np.ones(1 << s))
-                    q = StatVec(s, stats.T @ p)
-                    got = decode_fast(DecodeInput(q, beta))
+                    q = stats.T @ p
+                    got = decode_one(q, s, beta)
                     best = max(
                         expected_fbeta(q, LabelVec(tuple(int(b) for b in row)), beta)
                         for row in bits
@@ -185,7 +177,7 @@ class TestOracleEquivalence:
             for beta in BETAS:
                 Q = rng.choice([0.0, 0.5, 1.0], size=(450, s * s + 1))
                 bits, _ = decode_rows(Q, s, beta)
-                brute = np.array([decode_brute(DecodeInput(StatVec(s, q), beta)).bits for q in Q])
+                brute = np.array([decode_brute(q, s, beta).bits for q in Q])
                 np.testing.assert_array_equal(bits, brute, err_msg=f"s={s} beta={beta.beta}")
 
 
@@ -194,7 +186,7 @@ class TestChunkBoundaries:
     def test_rows_match_one_row_decodes(self, s):
         rng = np.random.default_rng(500 + s)
         base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)])
-        one_bits = np.array([decode_fast(DecodeInput(StatVec(s, q), B1)).bits for q in base])
+        one_bits = np.array([decode_one(q, s, B1).bits for q in base])
         one_objs = np.array([decode_rows(q[None, :], s, B1)[1][0] for q in base])
         for m in boundary_sizes(s):
             cycle = np.arange(m) % CYCLE
@@ -208,7 +200,7 @@ class TestChunkBoundaries:
     def test_tie_heavy_rows_match_enumeration(self, s, beta):
         rng = np.random.default_rng(700 + s)
         base = np.stack([tie_heavy_means(s, rng) for _ in range(CYCLE)])
-        brute = np.array([decode_brute(DecodeInput(StatVec(s, q), beta)).bits for q in base])
+        brute = np.array([decode_brute(q, s, beta).bits for q in base])
         for m in boundary_sizes(s):
             cycle = np.arange(m) % CYCLE
             bits, _ = decode_rows(base[cycle], s, beta)
@@ -218,11 +210,11 @@ class TestChunkBoundaries:
 class TestValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="0, 1"):
-            DecodeInput(StatVec(1, np.array([-0.01, 1.01])), B1)
+            decode_rows(np.array([[-0.01, 1.01]]), 1, B1)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            DecodeInput(StatVec(1, np.array([np.nan, 0.5])), B1)
+            decode_rows(np.array([[np.nan, 0.5]]), 1, B1)
 
     @pytest.mark.parametrize("bad, needle", [
         (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
@@ -240,19 +232,23 @@ class TestValidation:
             decode_rows(P, s, B1)
 
     def test_tolerates_tiny_overshoot(self):
-        q = StatVec(1, np.array([-1e-10, 1.0 + 1e-10]))
-        assert decode_fast(DecodeInput(q, B1)) == LabelVec((1,))
+        q = np.array([-1e-10, 1.0 + 1e-10])
+        assert decode_one(q, 1, B1) == LabelVec((1,))
 
     def test_rows_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             decode_rows(np.zeros((3, 4)), 2, B1)
+
+    def test_brute_shape_check(self):
+        with pytest.raises(ValueError, match="shape"):
+            decode_brute(np.zeros(4), 2, B1)
 
     def test_brute_refuses_huge_s(self):
         s = MAX_BRUTE_S + 1
         q = np.zeros(s * s + 1)
         q[0] = 1.0
         with pytest.raises(ValueError, match="brute"):
-            decode_brute(DecodeInput(StatVec(s, q), B1))
+            decode_brute(q, s, B1)
 
 
 class TestScaling:
@@ -271,12 +267,11 @@ class TestScaling:
         assert np.isfinite(objs).all()
 
     def test_chunked_enumeration_agrees(self):
-        # s above the cache cutoff exercises the streaming oracle path
-        s = 13
-        rng = np.random.default_rng(3)
-        q = StatVec(s, random_valid_means(s, rng))
-        inp = DecodeInput(q, B1)
-        assert decode_brute(inp) == decode_fast(inp)
-        # all-zero means tie every labeling at 0, and the empty one wins
-        empty = DecodeInput(StatVec(s, np.zeros(s * s + 1)), B1)
-        assert decode_brute(empty) == decode_fast(empty) == LabelVec((0,) * s)
+        # s = 13 fits one enumeration chunk, s = 15 spans two
+        for s in (13, 15):
+            rng = np.random.default_rng(3)
+            q = random_valid_means(s, rng)
+            assert decode_brute(q, s, B1) == decode_one(q, s, B1)
+            # all-zero means tie every labeling at 0, and the empty one wins
+            empty = np.zeros(s * s + 1)
+            assert decode_brute(empty, s, B1) == decode_one(empty, s, B1) == LabelVec((0,) * s)

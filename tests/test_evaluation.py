@@ -19,7 +19,7 @@ from fbetamax.evaluation import (
     regret_transfer_bound,
     surrogate_regret_estimate,
 )
-from fbetamax.fmeasure import BetaParam, LabelVec, StatVec, expected_fbeta, label_stats
+from fbetamax.fmeasure import BetaParam, LabelVec, expected_fbeta, label_stats
 from fbetamax.losses import logit_link
 from fbetamax.training import Dataset
 from conftest import random_valid_means
@@ -97,14 +97,12 @@ class TestExpectedFQuantities:
         rows = np.stack([random_valid_means(s, rng) for _ in range(20)])
         pred = [LabelVec(tuple(rng.integers(0, 2, s))) for _ in range(20)]
         bits = np.array([y.bits for y in pred])
-        want = np.mean(
-            [expected_fbeta(StatVec(s, rows[i]), pred[i], B1) for i in range(20)]
-        )
+        want = np.mean([expected_fbeta(rows[i], pred[i], B1) for i in range(20)])
         assert mean_expected_f(rows, bits, B1) == pytest.approx(want, abs=1e-12)
 
     def test_bayes_f_is_one_on_point_masses(self):
         ys = [LabelVec((1, 0, 1)), LabelVec((0, 0, 0)), LabelVec((1, 1, 1))]
-        rows = np.stack([label_stats(y).entries for y in ys])
+        rows = np.stack([label_stats(y) for y in ys])
         assert bayes_f(rows, 3, B1) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_f_regret_nonnegative_and_zero_at_decoder(self):

@@ -11,7 +11,6 @@ from fbetamax.fmeasure import (
     BetaParam,
     LabelVec,
     StatIndex,
-    StatVec,
     all_labelings,
     expected_fbeta,
     fbeta,
@@ -24,6 +23,7 @@ from fbetamax.fmeasure import (
     precision,
     recall,
 )
+from conftest import count_mass
 
 BETAS = [BetaParam(0.5), BetaParam(1.0), BetaParam(2.0)]
 
@@ -89,31 +89,6 @@ class TestStatIndex:
             StatIndex.pair(5, 1).flat(s)
 
 
-class TestStatVec:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            StatVec(2, np.zeros(4))
-
-    def test_lookup_matches_flat_layout(self):
-        s = 3
-        v = StatVec(s, np.arange(s * s + 1, dtype=float))
-        assert v.zero == 0.0
-        assert v.pair(2, 3) == StatIndex.pair(2, 3).flat(s)
-        assert v.pairs_matrix()[1, 2] == v.pair(2, 3)
-
-    def test_entries_are_read_only(self):
-        v = StatVec.zeros(2)
-        with pytest.raises(ValueError):
-            v.entries[0] = 1.0
-
-    def test_count_mass_of_a_distribution(self):
-        # uniform distribution over {0,1}^3
-        s = 3
-        stats = label_stats_matrix(all_labelings(s))
-        q = StatVec(s, stats.mean(axis=0))
-        assert q.count_mass() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestFbeta:
     def test_both_empty_is_one(self):
         z = LabelVec.zeros(3)
@@ -167,38 +142,48 @@ class TestFbeta:
 class TestStatisticVectors:
     def test_label_stats_empty(self):
         v = label_stats(LabelVec.zeros(3))
-        assert v.zero == 1.0
-        assert np.sum(v.entries) == 1.0
+        assert v.shape == (10,)
+        assert v[0] == 1.0
+        assert np.sum(v) == 1.0
 
     def test_label_stats_single_count_row(self):
         y = LabelVec((1, 1, 0))
         v = label_stats(y)
-        assert v.zero == 0.0
-        assert v.pair(1, 2) == 1.0
-        assert v.pair(2, 2) == 1.0
-        assert np.sum(v.entries) == 2.0
+        pairs = v[1:].reshape(3, 3)
+        assert v[0] == 0.0
+        assert pairs[0, 1] == 1.0
+        assert pairs[1, 1] == 1.0
+        assert np.sum(v) == 2.0
         # only the count-2 row is populated
-        assert np.all(v.pairs_matrix()[:, [0, 2]] == 0.0)
+        assert np.all(pairs[:, [0, 2]] == 0.0)
 
     def test_loss_coeffs_empty_prediction(self):
         v = loss_coeffs(LabelVec.zeros(2), BetaParam(1.0))
-        assert v.zero == -1.0
-        assert np.sum(np.abs(v.entries[1:])) == 0.0
+        assert v.shape == (5,)
+        assert v[0] == -1.0
+        assert np.sum(np.abs(v[1:])) == 0.0
 
     def test_loss_coeffs_dense_in_count(self):
         # yhat=(1,0), beta=1: pair (1,k) entries are -2/(k+1), tag 2 untouched
         v = loss_coeffs(LabelVec((1, 0)), BetaParam(1.0))
-        assert v.zero == 0.0
-        assert v.pair(1, 1) == pytest.approx(-1.0, abs=1e-15)
-        assert v.pair(1, 2) == pytest.approx(-2.0 / 3.0, abs=1e-15)
-        assert v.pair(2, 1) == 0.0
+        pairs = v[1:].reshape(2, 2)
+        assert v[0] == 0.0
+        assert pairs[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert pairs[0, 1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
+        assert pairs[1, 0] == 0.0
+
+    def test_count_mass_of_a_distribution(self):
+        # uniform distribution over {0,1}^3
+        s = 3
+        stats = label_stats_matrix(all_labelings(s))
+        assert count_mass(stats.mean(axis=0)) == pytest.approx(1.0, abs=1e-12)
 
     @given(labeling_pairs())
     @settings(max_examples=150, deadline=None)
     def test_inner_product_is_negated_fbeta(self, pair):
         y, yhat = pair
         for beta in BETAS:
-            inner = float(label_stats(y).entries @ loss_coeffs(yhat, beta).entries)
+            inner = float(label_stats(y) @ loss_coeffs(yhat, beta))
             assert inner == pytest.approx(-fbeta(y, yhat, beta), abs=1e-12)
 
     def test_matrix_helpers_match_scalar_paths(self):
@@ -209,8 +194,8 @@ class TestStatisticVectors:
             B = loss_coeffs_matrix(bits, beta)
             for code in (0, 1, 5, 15, 9):
                 y = labelvec_of(code, s)
-                np.testing.assert_allclose(A[code], label_stats(y).entries, atol=0)
-                np.testing.assert_allclose(B[code], loss_coeffs(y, beta).entries, atol=0)
+                np.testing.assert_allclose(A[code], label_stats(y), atol=0)
+                np.testing.assert_allclose(B[code], loss_coeffs(y, beta), atol=0)
 
     def test_coeff_norm_bound(self):
         # ||loss_coeffs(yhat)|| <= (1+beta^2)/(2 beta) sqrt(ln s + 1) for yhat != 0
@@ -227,7 +212,7 @@ class TestExpectedFbeta:
         # uniform p over {0,1}^2, prediction (1,1): mean F1 is 7/12
         s = 2
         stats = label_stats_matrix(all_labelings(s))
-        q = StatVec(s, stats.mean(axis=0))
+        q = stats.mean(axis=0)
         val = expected_fbeta(q, LabelVec((1, 1)), BetaParam(1.0))
         assert val == pytest.approx(7.0 / 12.0, abs=1e-15)
 
@@ -248,7 +233,7 @@ class TestExpectedFbeta:
             A = label_stats_matrix(bits)
             for _ in range(10):
                 p = rng.dirichlet(np.ones(1 << s))
-                q = StatVec(s, A.T @ p)
+                q = A.T @ p
                 for beta in BETAS:
                     for code in range(1 << s):
                         yhat = labelvec_of(code, s)
@@ -261,6 +246,6 @@ class TestExpectedFbeta:
                         )
 
     def test_dimension_mismatch(self):
-        q = StatVec.zeros(2)
+        q = np.zeros(5)
         with pytest.raises(ValueError):
             expected_fbeta(q, LabelVec((1, 0, 0)), BetaParam(1.0))
