@@ -64,16 +64,19 @@ class EfpModel(_RowScorer):
         object.__setattr__(self, "counts", counts)
 
     def stat_prob_rows(self, X) -> np.ndarray:
-        """(m, s^2+1) estimated means assembled from the probability blocks, chunk by chunk."""
+        """(m, s^2+1) estimated means assembled from the probability blocks, piece by piece."""
         X = _as_feature_matrix(X, self.d)
         out = np.zeros((X.shape[0], self.s * self.s + 1))
         pair_flats = coordinates(self.s, self.counts)[1][1:]
-        for rows, scores in self._score_chunks(X):
+
+        def write(rows: slice, scores: np.ndarray) -> None:
             n = len(scores)
             out[rows, 0] = expit(scores[:, 0])
             blocks = scores[:, 1:].reshape(n, self.s, 1 + len(self.counts))
             probs = _shifted_softmax(blocks)[0]
             out[rows, pair_flats] = probs[:, :, 1:].reshape(n, -1)
+
+        self._map_scores(X, write)
         return out
 
 

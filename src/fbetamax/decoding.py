@@ -10,6 +10,12 @@ kept alongside for cross-checking.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
 import numpy as np
 
 from .fmeasure import BetaParam, LabelVec, loss_coeffs_matrix
@@ -36,13 +42,18 @@ TIE_RTOL = 1e-12
 # enumeration guard: 2^20 candidates is the largest the oracle will scan
 MAX_BRUTE_S = 20
 
-# decode_rows and LinearModel scoring work on row chunks of about this many
-# statistic entries (s^2+1 per row), 8 MB per float64 temporary.  Chunks a
-# quarter this size scored and decoded the 12000 s = 50 rows of the
-# predict-s50 benchmark in the same time (0.99-1.41 s against 1.20-1.48 s),
-# but scored 15000 dense rows at s = 6, d = 100 about 12% slower in the
-# median (0.034-0.049 s against 0.026-0.041 s), in three CSR row slices
-# instead of one product; four runs each, 2 vCPU, one BLAS thread.
+# decode_rows, model scoring and mean_expected_f work on row chunks of about
+# this many statistic entries (s^2+1 per row), 8 MB per float64 temporary.
+# One chunk stays whole on the calling thread: cutting fit-s6's single
+# chunk (15000 rows at s = 6) into two pieces on two threads raised its
+# peak memory from 151-152 to 184 MB and cut its rows/s from 85-89 to
+# 80-81 thousand (3 runs each).  Larger batches run in pieces of a quarter
+# chunk (_PIECES_PER_CHUNK).  On the 12000 s = 50 rows of predict-s50, two
+# threads scored and decoded 15900 rows/s in the median with quarter pieces
+# and 15200 with half pieces (9 runs each); they peaked at 609-610 MB
+# against 622-623 MB (4 runs each), as each thread keeps its freed piece
+# temporaries cached.  Four threads on two CPUs gave 12500-16300 rows/s and
+# 625-627 MB (3 runs).  All on 2 vCPU with one BLAS thread.
 CHUNK_ENTRIES = 1 << 20
 
 _BRUTE_CHUNK = 1 << 14
@@ -68,8 +79,93 @@ def chunk_rows(s: int) -> int:
 
 def row_chunks(m: int, s: int) -> list[slice]:
     """Consecutive row slices of at most chunk_rows(s) rows covering 0..m."""
-    step = chunk_rows(s)
+    return _slices(m, chunk_rows(s))
+
+
+def _slices(m: int, step: int) -> list[slice]:
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# a batch of more than one chunk runs in pieces of a quarter chunk, on one
+# thread per CPU this process may run on (taskset limits them) but at most
+# one per piece of a chunk, so the threads together hold one chunk's temporaries
+_PIECES_PER_CHUNK = 4
+_WORKERS = min(_PIECES_PER_CHUNK, _usable_cpus())
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The module's worker pool, built on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fbetamax-rows")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so it builds its own pool."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
+    """Call piece(rows) on consecutive row slices that cover 0..m.
+
+    At most chunk_rows(s) rows run as one piece on this thread, as does
+    every chunk when there is one worker.  A larger batch is cut into
+    pieces of chunk_rows(s) // _PIECES_PER_CHUNK rows, taken in row order
+    by this thread and _WORKERS - 1 pool threads.  A piece must write only
+    its own rows, call no public function and not use the pool.  After a
+    failure no new piece starts, and the exception of the first failing
+    piece in row order is raised, as a serial pass would raise it.
+    """
+    step = chunk_rows(s)
+    if m <= step or _WORKERS == 1:
+        for rows in row_chunks(m, s):
+            piece(rows)
+        return
+    todo = deque(enumerate(_slices(m, max(1, step // _PIECES_PER_CHUNK))))
+    errors: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while not errors:
+            try:
+                i, rows = todo.popleft()
+            except IndexError:
+                return
+            try:
+                piece(rows)
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors[i] = exc
+
+    pool = _pool()
+    helpers = [pool.submit(work) for _ in range(_WORKERS - 1)]
+    work()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+
+
+def _check_means(chunk: np.ndarray) -> None:
+    # NaN fails both comparisons, and +-inf falls outside the range
+    if not (chunk.min() >= -PROB_TOL and chunk.max() <= 1.0 + PROB_TOL):
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("estimated means must be finite")
+        raise ValueError(f"estimated means must lie in [0, 1] up to {PROB_TOL:g}")
 
 
 def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +175,9 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     (m, s) 0/1 matrix and objectives the values of <q, loss_coeffs(yhat)>
     it attains, each within TIE_RTOL of the minimum.  Sizes whose optima
     lie within TIE_RTOL of the minimum tie; ties resolve toward fewer
-    active tags and, within a size, toward smaller tag indices.  Rows are
-    decoded in chunks of chunk_rows(s), so temporaries stay
+    active tags and, within a size, toward smaller tag indices.  A batch
+    of more than chunk_rows(s) rows is decoded in pieces on worker
+    threads, which together hold one chunk's temporaries, so memory stays
     O(chunk * s^2) whatever m is.
     """
     P = np.asarray(prob_rows, dtype=np.float64)
@@ -91,13 +188,10 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     tags = np.arange(s)
     bits = np.empty((m, s), dtype=np.uint8)
     objectives = np.empty(m)
-    for rows in row_chunks(m, s):
+
+    def piece(rows: slice) -> None:
         chunk = P[rows]
-        # NaN fails both comparisons, and +-inf falls outside the range
-        if not (chunk.min() >= -PROB_TOL and chunk.max() <= 1.0 + PROB_TOL):
-            if not np.all(np.isfinite(chunk)):
-                raise ValueError("estimated means must be finite")
-            raise ValueError(f"estimated means must lie in [0, 1] up to {PROB_TOL:g}")
+        _check_means(chunk)
         n = chunk.shape[0]
         # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
         T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
@@ -105,7 +199,7 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
         best_by_size = np.sort(T, axis=2)
         np.cumsum(best_by_size, axis=2, out=best_by_size)
         objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
-        # freed before the next chunk builds its tables: at most three (n, s, s) arrays live
+        # freed before the piece ranks tags: at most three (n, s, s) arrays live
         del best_by_size
         # argmax takes the first True, i.e. the smallest size among the ties
         choice = np.argmax(_near_min(objs), axis=1)
@@ -116,6 +210,14 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
         np.put_along_axis(rank, np.argsort(column, axis=1, kind="stable"), tags[None, :], axis=1)
         bits[rows] = rank < choice[:, None]
         objectives[rows] = objs[np.arange(n), choice]
+
+    try:
+        _map_rows(piece, m, s)
+    except ValueError:
+        # a piece may be part of a chunk: report the first bad chunk as a whole
+        for rows in row_chunks(m, s):
+            _check_means(P[rows])
+        raise
     return bits, objectives
 
 

@@ -7,8 +7,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoding import decode_rows
-from .fmeasure import BetaParam, LabelVec, loss_coeffs_matrix
+from .decoding import _map_rows, decode_rows
+from .fmeasure import BetaParam, LabelVec, _loss_coeffs_rows
 from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
 
@@ -130,12 +130,22 @@ def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaPara
     """Mean over points of the exact expected F-beta of each prediction.
 
     Monte-Carlo-free: uses the true statistic means per point instead of a
-    sampled labeling.
+    sampled labeling.  Rows go through the decoder's row pieces, so the
+    coefficient temporaries stay O(chunk * s^2) whatever m is.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     pred_bits = _as_bit_matrix(pred_bits)
-    coeffs = loss_coeffs_matrix(pred_bits, beta)
-    return float(np.mean(-np.sum(prob_rows * coeffs, axis=1)))
+    m, s = pred_bits.shape
+    if prob_rows.shape != (m, s * s + 1):
+        raise ValueError(f"expected means of shape ({m}, {s * s + 1}), got {prob_rows.shape}")
+    per_point = np.empty(m)
+
+    def piece(rows: slice) -> None:
+        coeffs = _loss_coeffs_rows(pred_bits[rows], beta)
+        per_point[rows] = -np.sum(prob_rows[rows] * coeffs, axis=1)
+
+    _map_rows(piece, m, s)
+    return float(np.mean(per_point))
 
 
 def bayes_f(prob_rows: np.ndarray, s: int, beta: BetaParam) -> float:

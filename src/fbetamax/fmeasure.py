@@ -284,6 +284,11 @@ def loss_coeffs_matrix(bits: np.ndarray, beta: BetaParam) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError("expected a 2-d bit matrix")
+    return _loss_coeffs_rows(bits, beta)
+
+
+def _loss_coeffs_rows(bits: np.ndarray, beta: BetaParam) -> np.ndarray:
+    """loss_coeffs_matrix for a checked 2-d bit array; each row's arithmetic is its own."""
     m, s = bits.shape
     counts = bits.sum(axis=1).astype(np.float64)
     out = np.zeros((m, s * s + 1))

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
-from .decoding import decode_rows, row_chunks
+from .decoding import _map_rows, decode_rows, row_chunks
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
 from .surrogate import SurrogateConfig, coordinates
 
@@ -153,16 +153,6 @@ def _as_feature_matrix(X, d: int) -> sparse.csr_matrix:
     return X
 
 
-def _row_blocks(X: sparse.csr_matrix, s: int):
-    """Yield (rows, X[rows]) per decoding row chunk; a single chunk is X itself, unsliced."""
-    chunks = row_chunks(X.shape[0], s)
-    if len(chunks) == 1:
-        yield chunks[0], X
-        return
-    for rows in chunks:
-        yield rows, X[rows]
-
-
 def _weight_rows(weights, rows: int, d: int) -> np.ndarray:
     """A read-only float64 copy of weights, checked to be a finite (rows, d+1) matrix."""
     weights = np.array(weights, dtype=np.float64)
@@ -175,15 +165,17 @@ def _weight_rows(weights, rows: int, d: int) -> np.ndarray:
 
 
 class _RowScorer:
-    """Scoring shared by the models: rows of weights, bias last, one row chunk at a time.
+    """Scoring shared by the models: rows of weights, bias last, one row piece at a time.
 
     A model holds s, d and weights, a read-only (rows, d+1) matrix whose
     rows are exactly the body of its model file.  predict_rows decodes the
-    model's stat_prob_rows, which maps a chunk's raw scores to statistic
-    means.  When a LinearModel models every coordinate, its scores are
-    already in the (m, s^2+1) statistic layout, so expit writes each chunk
-    straight into the output; otherwise the probabilities are scattered
-    into a zero-filled output, exactly 0 where no scorer is fit.
+    model's stat_prob_rows, which maps a piece's raw scores to statistic
+    means; a batch of more than one chunk is scored in pieces on worker
+    threads.  When a LinearModel models every coordinate, its scores are
+    already in the (m, s^2+1) statistic layout, so expit writes each piece
+    straight into the output; otherwise the probabilities go through an
+    (n, s, s) view into a zero-filled output, exactly 0 where no scorer
+    is fit.
     """
 
     @cached_property
@@ -196,26 +188,43 @@ class _RowScorer:
         """Contiguous copy of the bias column; adding the strided column is ~10x slower."""
         return np.ascontiguousarray(self.weights[:, self.d])
 
-    def _score_chunks(self, X: sparse.csr_matrix):
-        """Yield (rows, raw scores) per row chunk of X; each scores array is fresh."""
-        for rows, X_rows in _row_blocks(X, self.s):
-            scores = X_rows @ self._feature_weights
-            scores += self._biases
-            yield rows, scores
+    def _map_scores(self, X: sparse.csr_matrix, write) -> None:
+        """Call write(rows, raw scores) once per row piece of X; each scores array is fresh.
+
+        Pieces may run on worker threads (decoding._map_rows), so write
+        must store only into its own rows.
+        """
+        # read the cached copies here: two threads must not fill a cached_property at once
+        W, b = self._feature_weights, self._biases
+        m = X.shape[0]
+
+        def piece(rows: slice) -> None:
+            # a batch of one piece is X itself, unsliced
+            scores = (X if rows.stop - rows.start == m else X[rows]) @ W
+            scores += b
+            write(rows, scores)
+
+        _map_rows(piece, m, self.s)
 
     def score_rows(self, X) -> np.ndarray:
         """(m, rows) raw scores for a feature matrix."""
         X = _as_feature_matrix(X, self.d)
         out = np.empty((X.shape[0], len(self.weights)))
-        for rows, scores in self._score_chunks(X):
+
+        def write(rows: slice, scores: np.ndarray) -> None:
             out[rows] = scores
+
+        self._map_scores(X, write)
         return out
 
     def predict_rows(self, X) -> np.ndarray:
         """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
         X = _as_feature_matrix(X, self.d)
+        chunks = row_chunks(X.shape[0], self.s)
         bits = np.empty((X.shape[0], self.s), dtype=np.uint8)
-        for rows, X_rows in _row_blocks(X, self.s):
+        for rows in chunks:
+            # a single chunk is X itself, unsliced
+            X_rows = X if len(chunks) == 1 else X[rows]
             bits[rows], _ = decode_rows(self.stat_prob_rows(X_rows), self.s, self.beta)
         return bits
 
@@ -686,15 +695,25 @@ class LinearModel(_RowScorer):
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means; inactive coordinates are exactly 0."""
         X = _as_feature_matrix(X, self.d)
-        flats, width = self.active_flats, self.s * self.s + 1
+        s, counts = self.s, self.counts
         # a full count set's coordinates are the whole layout in order
-        full = len(flats) == width
-        out = np.empty((X.shape[0], width)) if full else np.zeros((X.shape[0], width))
-        for rows, scores in self._score_chunks(X):
-            if full:
+        if len(counts) == s:
+            out = np.empty((X.shape[0], s * s + 1))
+
+            def write(rows: slice, scores: np.ndarray) -> None:
                 expit(scores, out=out[rows])
-            else:
-                out[rows, flats] = expit(scores, out=scores)
+        else:
+            out = np.zeros((X.shape[0], s * s + 1))
+            # columns k-1, k in K, of the (n, tag, count) view of out[rows, 1:]
+            ks = np.asarray(counts, dtype=np.intp) - 1
+
+            def write(rows: slice, scores: np.ndarray) -> None:
+                n = len(scores)
+                expit(scores, out=scores)
+                out[rows, 0] = scores[:, 0]
+                out[rows, 1:].reshape(n, s, s)[:, :, ks] = scores[:, 1:].reshape(n, s, len(ks))
+
+        self._map_scores(X, write)
         return out
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from fbetamax import decoding
 from fbetamax.cli import run_consistency
 
 ACCEPT_SEED = 0
@@ -32,6 +34,25 @@ def random_valid_means(s: int, rng: np.random.Generator) -> np.ndarray:
         q = u / count_mass(u)
         if q.max() <= 1.0:
             return q
+
+
+@pytest.fixture(params=[1, 2, 4])
+def row_workers(request, monkeypatch):
+    """Run row pieces on 1, 2 or 4 threads, each count with its own pool.
+
+    The thread switch interval is shortened, so the pieces of one batch
+    interleave as much as they can.
+    """
+    monkeypatch.setattr(decoding, "_WORKERS", request.param)
+    monkeypatch.setattr(decoding, "_POOL", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+        if decoding._POOL is not None:
+            decoding._POOL.shutdown()
 
 
 @pytest.fixture(scope="session")

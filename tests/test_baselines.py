@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit
 
+from fbetamax import training
 from fbetamax.baselines import BrModel, EfpModel, train_br, train_efp
 from fbetamax.dataio import load_model, save_model
 from fbetamax.decoding import chunk_rows, decode_rows
@@ -122,16 +123,18 @@ class TestEfpModel:
             probs = multinomial_prob_rows(W[1 + (j - 1) * C:1 + j * C], X_all)
             for col, k in enumerate(counts, start=1):
                 expected[:, StatIndex.pair(j, k).flat(s)] = probs[:, col]
-        # record the rows each scoring call sees at once: at most one chunk
+        # record the rows each scoring piece sees at once: at most one chunk
         block_rows = []
-        score_chunks = EfpModel._score_chunks
+        map_rows = training._map_rows
 
-        def recording_chunks(self, X):
-            for rows, scores in score_chunks(self, X):
-                block_rows.append(scores.shape[0])
-                yield rows, scores
+        def recording_map(piece, m, s):
+            def recorded(rows):
+                block_rows.append(rows.stop - rows.start)
+                piece(rows)
 
-        monkeypatch.setattr(EfpModel, "_score_chunks", recording_chunks)
+            map_rows(recorded, m, s)
+
+        monkeypatch.setattr(training, "_map_rows", recording_map)
         for m in (0, 1, c - 1, c, c + 1, 2 * c + 1):
             X = X_all[:m]
             got = model.stat_prob_rows(X)
@@ -140,6 +143,29 @@ class TestEfpModel:
             assert bits.shape == (m, s)
             np.testing.assert_array_equal(bits, decode_rows(got, s, B1)[0])
         assert max(block_rows) == c
+
+    @pytest.mark.parametrize("s", [6, 50])
+    def test_row_pieces_match_one_shot_assembly(self, s, row_workers):
+        c = chunk_rows(s)
+        d = 4
+        rng = np.random.default_rng(1600 + s)
+        counts = (1, 2, s)
+        C = len(counts) + 1
+        model = EfpModel(
+            s=s, d=d, beta=B1, counts=counts,
+            weights=rng.normal(size=(1 + s * C, d + 1)),
+            bias=True, reg_lambda=0.0,
+        )
+        X_all = sparse.random(2 * c + 1, d, density=0.5, format="csr",
+                              random_state=np.random.RandomState(s))
+        W = model.weights
+        expected = np.zeros((X_all.shape[0], s * s + 1))
+        expected[:, 0] = expit(X_all @ W[0, :d] + W[0, d])
+        for j in range(1, s + 1):
+            probs = multinomial_prob_rows(W[1 + (j - 1) * C:1 + j * C], X_all)
+            expected[:, [StatIndex.pair(j, k).flat(s) for k in counts]] = probs[:, 1:]
+        for m in (c - 1, c, c + 1, 2 * c + 1):
+            np.testing.assert_array_equal(model.stat_prob_rows(X_all[:m]), expected[:m])
 
     def test_validation_rejects_bad_count_order(self):
         with pytest.raises(ValueError, match="counts"):

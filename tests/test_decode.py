@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbetamax import decoding
 from fbetamax.decoding import MAX_BRUTE_S, chunk_rows, decode_brute, decode_rows
 from fbetamax.fmeasure import (
     BetaParam,
@@ -205,6 +211,122 @@ class TestChunkBoundaries:
             cycle = np.arange(m) % CYCLE
             bits, _ = decode_rows(base[cycle], s, beta)
             np.testing.assert_array_equal(bits, brute[cycle])
+
+
+def piece_sizes(s: int) -> list[int]:
+    """Batch sizes around one and two chunks, where the row pieces start."""
+    c = chunk_rows(s)
+    return [c - 1, c, c + 1, 2 * c + 1]
+
+
+def run_script(body: str) -> str:
+    """Run a Python script in a fresh interpreter, on this fbetamax; return its standard output."""
+    src = str(Path(decoding.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(body)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestRowPieces:
+    @pytest.mark.parametrize("s", [6, 50])
+    def test_tie_heavy_rows_match_one_row_decodes(self, s, row_workers):
+        rng = np.random.default_rng(1300 + s)
+        base = np.stack([tie_heavy_means(s, rng) for _ in range(CYCLE)])
+        one = [decode_rows(q[None, :], s, B1) for q in base]
+        one_bits = np.concatenate([bits for bits, _ in one])
+        one_objs = np.concatenate([objs for _, objs in one])
+        for m in piece_sizes(s):
+            cycle = np.arange(m) % CYCLE
+            bits, objs = decode_rows(base[cycle], s, B1)
+            np.testing.assert_array_equal(bits, one_bits[cycle])
+            np.testing.assert_array_equal(objs, one_objs[cycle])
+
+    @pytest.mark.parametrize("first, second, needle", [
+        (np.nan, 1.5, "finite"), (1.5, np.nan, r"\[0, 1\]"),
+    ])
+    def test_the_earlier_bad_piece_is_reported(self, first, second, needle, row_workers):
+        # rows in different chunks, so in different pieces at every worker count
+        s = 50
+        c = chunk_rows(s)
+        rng = np.random.default_rng(1400)
+        base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)])
+        P = base[np.arange(2 * c + 1) % CYCLE]
+        P[0, 5], P[c + c // 2, 7] = first, second
+        with pytest.raises(ValueError, match=needle):
+            decode_rows(P, s, B1)
+
+    def test_the_first_failing_piece_wins_a_race(self, row_workers):
+        # the later piece fails first; a serial pass would still raise the earlier one
+        s = 50
+        c = chunk_rows(s)
+        started = []
+
+        def piece(rows: slice) -> None:
+            started.append(rows.start)
+            if rows.start == 0:
+                time.sleep(0.05)
+                raise ValueError("earlier")
+            if rows.start <= c + c // 2 < rows.stop:
+                raise ValueError("later")
+
+        with pytest.raises(ValueError, match="earlier"):
+            decoding._map_rows(piece, 4 * c + 1, s)
+        # pieces are taken in row order, and new ones stop after a failure
+        assert started == sorted(started) and max(started) < 3 * c
+
+    def test_a_chunk_is_checked_whole_whatever_its_pieces(self, row_workers):
+        # as in a serial pass, a NaN anywhere in the first bad chunk wins over a range error
+        s = 50
+        c = chunk_rows(s)
+        rng = np.random.default_rng(1401)
+        base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)])
+        P = base[np.arange(2 * c + 1) % CYCLE]
+        P[0, 3], P[c - 1, 9] = 1.5, np.nan
+        with pytest.raises(ValueError, match="finite"):
+            decode_rows(P, s, B1)
+
+    def test_one_chunk_builds_no_pool(self):
+        out = run_script("""
+            import numpy as np
+            from fbetamax import decoding
+            from fbetamax.fmeasure import BetaParam
+            from fbetamax.surrogate import SurrogateConfig
+            from fbetamax.training import LinearModel
+            s, d = 50, 3
+            c = decoding.chunk_rows(s)
+            scfg = SurrogateConfig.full(s, BetaParam(1.0))
+            model = LinearModel(s=s, d=d, beta=BetaParam(1.0), active_indices=scfg.active_indices,
+                                weights=np.zeros((s * s + 1, d + 1)), bias=True, reg_lambda=0.0)
+            probs = model.stat_prob_rows(np.ones((c, d)))
+            decoding.decode_rows(probs, s, BetaParam(1.0))
+            print(decoding._POOL is None)
+            decoding.decode_rows(np.vstack([probs, probs]), s, BetaParam(1.0))
+            print(decoding._POOL is None, decoding._WORKERS)
+        """).split()
+        assert out[0] == "True"
+        # a two-chunk batch builds it whenever there is more than one worker
+        assert out[1] == str(out[2] == "1")
+
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits no pool threads; decoding on the parent's pool would hang
+        out = run_script("""
+            import os, signal, warnings
+            import numpy as np
+            from fbetamax import decoding
+            from fbetamax.fmeasure import BetaParam
+            warnings.simplefilter("ignore")
+            decoding._WORKERS = 2
+            P = np.full((3 * decoding.chunk_rows(6), 37), 0.01)
+            want = decoding.decode_rows(P, 6, BetaParam(1.0))[0]
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                bits = decoding.decode_rows(P, 6, BetaParam(1.0))[0]
+                os._exit(0 if np.array_equal(bits, want) else 1)
+            print(os.waitpid(pid, 0)[1])
+        """)
+        assert out.split() == ["0"]
 
 
 class TestValidation:

@@ -19,7 +19,14 @@ from fbetamax.evaluation import (
     regret_transfer_bound,
     surrogate_regret_estimate,
 )
-from fbetamax.fmeasure import BetaParam, LabelVec, expected_fbeta, label_stats
+from fbetamax.decoding import chunk_rows
+from fbetamax.fmeasure import (
+    BetaParam,
+    LabelVec,
+    expected_fbeta,
+    label_stats,
+    loss_coeffs_matrix,
+)
 from fbetamax.losses import logit_link
 from fbetamax.training import Dataset
 from conftest import random_valid_means
@@ -99,6 +106,23 @@ class TestExpectedFQuantities:
         bits = np.array([y.bits for y in pred])
         want = np.mean([expected_fbeta(rows[i], pred[i], B1) for i in range(20)])
         assert mean_expected_f(rows, bits, B1) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [6, 50])
+    def test_mean_expected_f_pieces_match_one_product(self, s, row_workers):
+        rng = np.random.default_rng(1700 + s)
+        c = chunk_rows(s)
+        base = np.stack([random_valid_means(s, rng) for _ in range(37)])
+        rows = base[np.arange(2 * c + 1) % 37]
+        bits = rng.integers(0, 2, size=(2 * c + 1, s))
+        for m in (c - 1, c, c + 1, 2 * c + 1):
+            # the whole-matrix formula that the row pieces replace
+            want = float(np.mean(-np.sum(rows[:m] * loss_coeffs_matrix(bits[:m], B1), axis=1)))
+            assert mean_expected_f(rows[:m], bits[:m], B1) == want
+
+    def test_mean_expected_f_rejects_mismatched_shapes(self):
+        rows = np.full((3, 5), 0.2)
+        with pytest.raises(ValueError, match=r"\(2, 5\)"):
+            mean_expected_f(rows, np.zeros((2, 2), dtype=np.uint8), B1)
 
     def test_bayes_f_is_one_on_point_masses(self):
         ys = [LabelVec((1, 0, 1)), LabelVec((0, 0, 0)), LabelVec((1, 1, 1))]

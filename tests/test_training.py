@@ -389,6 +389,29 @@ class TestLinearModelPrediction:
             assert bits.shape == (m, s)
             np.testing.assert_array_equal(bits, decode_rows(probs, s, B1)[0])
 
+    @pytest.mark.parametrize("s", [6, 50])
+    @pytest.mark.parametrize("full", [True, False], ids=["full_K", "partial_K"])
+    def test_row_pieces_match_one_product(self, s, full, row_workers):
+        c = chunk_rows(s)
+        d = 4
+        rng = np.random.default_rng(1500 + s)
+        scfg = SurrogateConfig.for_counts(s, range(1, s + 1) if full else [1, 3, s], B1)
+        W = rng.normal(size=(scfg.n_subproblems(), d + 1))
+        model = LinearModel(s=s, d=d, beta=B1, active_indices=scfg.active_indices,
+                            weights=W, bias=True, reg_lambda=0.0)
+        X_all = sparse.random(2 * c + 1, d, density=0.5, format="csr",
+                              random_state=np.random.RandomState(s))
+        # every row's product and link are its own, so one product covers all sizes
+        scores = X_all @ W[:, :d].T + W[:, d]
+        expected = np.zeros((X_all.shape[0], s * s + 1))
+        expected[:, scfg.active_flats] = expit(scores)
+        for m in (c - 1, c, c + 1, 2 * c + 1):
+            X = X_all[:m]
+            np.testing.assert_array_equal(model.stat_prob_rows(X), expected[:m])
+            np.testing.assert_array_equal(model.score_rows(X), scores[:m])
+            np.testing.assert_array_equal(model.predict_rows(X),
+                                          decode_rows(expected[:m], s, B1)[0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("form", ["dense", "sparse"])
     @pytest.mark.parametrize("method", ["score_rows", "stat_prob_rows", "predict_rows"])
