@@ -213,12 +213,6 @@ class TestChunkBoundaries:
             np.testing.assert_array_equal(bits, brute[cycle])
 
 
-def piece_sizes(s: int) -> list[int]:
-    """Batch sizes around one and two chunks, where the row pieces start."""
-    c = chunk_rows(s)
-    return [c - 1, c, c + 1, 2 * c + 1]
-
-
 def run_script(body: str) -> str:
     """Run a Python script in a fresh interpreter, on this fbetamax; return its standard output."""
     src = str(Path(decoding.__file__).resolve().parents[1])
@@ -236,7 +230,7 @@ class TestRowPieces:
         one = [decode_rows(q[None, :], s, B1) for q in base]
         one_bits = np.concatenate([bits for bits, _ in one])
         one_objs = np.concatenate([objs for _, objs in one])
-        for m in piece_sizes(s):
+        for m in boundary_sizes(s):
             cycle = np.arange(m) % CYCLE
             bits, objs = decode_rows(base[cycle], s, B1)
             np.testing.assert_array_equal(bits, one_bits[cycle])
