@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .fmeasure import BetaParam
-from .surrogate import SurrogateConfig, coordinates
+from .surrogate import SurrogateConfig
 from .training import (
     Dataset,
     SubproblemReport,
@@ -66,15 +66,17 @@ class EfpModel(_RowScorer):
     def stat_prob_rows(self, X) -> np.ndarray:
         """(m, s^2+1) estimated means assembled from the probability blocks, piece by piece."""
         X = _as_feature_matrix(X, self.d)
-        out = np.zeros((X.shape[0], self.s * self.s + 1))
-        pair_flats = coordinates(self.s, self.counts)[1][1:]
+        s = self.s
+        out = np.zeros((X.shape[0], s * s + 1))
+        # columns k-1, k in K, of the (n, tag, count) view of out[rows, 1:]
+        ks = np.asarray(self.counts, dtype=np.intp) - 1
 
         def write(rows: slice, scores: np.ndarray) -> None:
             n = len(scores)
             out[rows, 0] = expit(scores[:, 0])
-            blocks = scores[:, 1:].reshape(n, self.s, 1 + len(self.counts))
+            blocks = scores[:, 1:].reshape(n, s, 1 + len(ks))
             probs = _shifted_softmax(blocks)[0]
-            out[rows, pair_flats] = probs[:, :, 1:].reshape(n, -1)
+            out[rows, 1:].reshape(n, s, s)[:, :, ks] = probs[:, :, 1:]
 
         self._map_scores(X, write)
         return out

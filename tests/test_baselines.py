@@ -167,6 +167,29 @@ class TestEfpModel:
         for m in (c - 1, c, c + 1, 2 * c + 1):
             np.testing.assert_array_equal(model.stat_prob_rows(X_all[:m]), expected[:m])
 
+    @pytest.mark.parametrize("counts", [(), (1,), (1, 3), (1, 2, 3, 4)])
+    def test_pair_view_store_matches_fancy_index_assembly(self, counts):
+        # the pair probabilities go through the (n, s, s) view of out[:, 1:];
+        # the reference stores them at the flat pair positions of coordinates
+        s, d = 4, 5
+        c = chunk_rows(s)
+        rng = np.random.default_rng(2300 + len(counts))
+        model = EfpModel(
+            s=s, d=d, beta=B1, counts=counts,
+            weights=rng.normal(size=(1 + s * (1 + len(counts)), d + 1)),
+            bias=True, reg_lambda=0.0,
+        )
+        X = sparse.random(c + 3, d, density=0.6, format="csr",
+                          random_state=np.random.RandomState(23))
+        scores = model.score_rows(X)
+        m = X.shape[0]
+        expected = np.zeros((m, s * s + 1))
+        expected[:, 0] = expit(scores[:, 0])
+        probs = training._shifted_softmax(scores[:, 1:].reshape(m, s, 1 + len(counts)))[0]
+        expected[:, coordinates(s, counts)[1][1:]] = probs[:, :, 1:].reshape(m, -1)
+        for n in (1, c, m):
+            np.testing.assert_array_equal(model.stat_prob_rows(X[:n]), expected[:n])
+
     def test_validation_rejects_bad_count_order(self):
         with pytest.raises(ValueError, match="counts"):
             EfpModel(

@@ -7,9 +7,15 @@ import pytest
 from scipy.special import expit
 
 from fbetamax.fmeasure import BetaParam
+from fbetamax.losses import logit_link
 from fbetamax.synth import (
     _BLOCK_ROWS,
     SUPPORTS,
+    _pcg64_states,
+    _point_rng,
+    _point_rngs,
+    _sample_rows,
+    _seed_words,
     build_distribution,
     sample_batch,
     sample_point,
@@ -192,6 +198,93 @@ class TestSampling:
         dist = build_distribution(seed=1, s=2, d=6)
         with pytest.raises(ValueError, match="batch"):
             sample_batch(dist, 0)
+
+
+def _reference_rows(dist, start, stop, stream):
+    """_sample_rows as one SeedSequence per point and one matrix-vector product per row."""
+    n = stop - start
+    P = np.empty((n, dist.n_outcomes))
+    u = np.empty(n)
+    for r in range(n):
+        rng = _point_rng(dist, start + r, stream)
+        P[r] = rng.standard_gamma(dist.concentration)
+        u[r] = rng.random()
+    P /= P.sum(axis=1, keepdims=True)
+    Q = np.empty((n, dist.s * dist.s + 1))
+    for r in range(n):
+        Q[r] = dist.support_stats.T @ P[r]
+    logits = logit_link(Q)
+    X = np.empty((n, dist.d))
+    for r in range(n):
+        X[r] = dist.logit_map_pinv @ logits[r]
+    cdf = np.cumsum(P, axis=1)
+    cdf /= cdf[:, -1:]
+    return P, Q, X, np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
+class TestBlockSeeding:
+    @pytest.mark.parametrize("seed,stream", [
+        (0, 0), (0, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1), (12, 3), (987654321, 40001),
+    ])
+    def test_seed_words_and_states_match_seed_sequence(self, seed, stream):
+        for start, stop in ((0, 300), (2**32 - 3, 2**32)):
+            words = _seed_words(seed, stream, start, stop)
+            states = list(_pcg64_states(words))
+            assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+            for index, row, (state, inc) in zip(range(start, stop), words, states):
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream, index))
+                np.testing.assert_array_equal(row, seq.generate_state(4, np.uint64))
+                assert np.random.PCG64(seq).state["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32])
+    def test_generators_draw_as_point_rng(self, seed):
+        # 2^32 needs two entropy words: that seed takes the _point_rng path
+        dist = build_distribution(seed=seed, s=2, d=6)
+        B = _BLOCK_ROWS
+        for start, stop in ((B - 3, B), (B, B + 3)):
+            for index, rng in zip(range(start, stop), _point_rngs(dist, start, stop, 5)):
+                ref = _point_rng(dist, index, 5)
+                np.testing.assert_array_equal(
+                    rng.standard_gamma(dist.concentration), ref.standard_gamma(dist.concentration)
+                )
+                assert rng.random() == ref.random()
+
+    def test_rows_match_point_rng_and_per_row_products_across_block_edge(self):
+        # the two blocks sample_batch(dist, B + 4) runs; Q and X come from the
+        # stacked matmuls, the reference from one matrix-vector product per row
+        dist = build_distribution(seed=3, s=4, d=20)
+        B = _BLOCK_ROWS
+        for start, stop in ((0, B), (B, B + 4)):
+            got = _sample_rows(dist, start, stop, 7)
+            for a, b in zip(got, _reference_rows(dist, start, stop, 7)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("stream,error,message", [
+        (-1, ValueError, "expected non-negative integer"),
+        (1.5, TypeError, "seed must be integer"),
+    ])
+    def test_bad_stream_raises_what_seed_sequence_raises(self, stream, error, message):
+        dist = build_distribution(seed=1, s=2, d=6)
+        with pytest.raises(error, match=f"^{message}$"):
+            sample_batch(dist, 3, stream=stream)
+
+    @pytest.mark.parametrize("seed,stream", [(1, 2**64), (2**32 + 5, 0)])
+    def test_out_of_word_entropy_gives_point_rng_rows(self, seed, stream):
+        dist = build_distribution(seed=seed, s=3, d=12)
+        batch = sample_batch(dist, 6, stream=stream)
+        _, Q, X, outcomes = _reference_rows(dist, 0, 6, stream)
+        np.testing.assert_array_equal(batch.features, X)
+        np.testing.assert_array_equal(batch.stat_probs, Q)
+        np.testing.assert_array_equal(batch.bits, dist.support_bits[outcomes])
+
+    def test_last_one_word_index_and_the_next(self):
+        # the first block ends at the last one-word index; the second holds
+        # 2^32, which needs two words, so all of it takes the _point_rng path
+        dist = build_distribution(seed=4, s=2, d=6)
+        for start in (2**32 - 2, 2**32 - 1):
+            got = _sample_rows(dist, start, start + 2, 2)
+            for a, b in zip(got, _reference_rows(dist, start, start + 2, 2)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestToDataset:
