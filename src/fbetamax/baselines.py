@@ -21,7 +21,6 @@ from .training import (
     SubproblemReport,
     TrainConfig,
     _RowScorer,
-    _as_feature_matrix,
     _shifted_softmax,
     _weight_rows,
     fit_logistic_columns,
@@ -63,23 +62,14 @@ class EfpModel(_RowScorer):
         object.__setattr__(self, "weights", _weight_rows(self.weights, rows, self.d))
         object.__setattr__(self, "counts", counts)
 
-    def stat_prob_rows(self, X) -> np.ndarray:
-        """(m, s^2+1) estimated means assembled from the probability blocks, piece by piece."""
-        X = _as_feature_matrix(X, self.d)
-        s = self.s
-        out = np.zeros((X.shape[0], s * s + 1))
-        # columns k-1, k in K, of the (n, tag, count) view of out[rows, 1:]
+    def _means(self, scores: np.ndarray, out: np.ndarray) -> None:
+        s, n = self.s, len(scores)
+        out.fill(0.0)
+        out[:, 0] = expit(scores[:, 0])
+        # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]
         ks = np.asarray(self.counts, dtype=np.intp) - 1
-
-        def write(rows: slice, scores: np.ndarray) -> None:
-            n = len(scores)
-            out[rows, 0] = expit(scores[:, 0])
-            blocks = scores[:, 1:].reshape(n, s, 1 + len(ks))
-            probs = _shifted_softmax(blocks)[0]
-            out[rows, 1:].reshape(n, s, s)[:, :, ks] = probs[:, :, 1:]
-
-        self._map_scores(X, write)
-        return out
+        probs = _shifted_softmax(scores[:, 1:].reshape(n, s, 1 + len(ks)))[0]
+        out[:, 1:].reshape(n, s, s)[:, :, ks] = probs[:, :, 1:]
 
 
 def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:

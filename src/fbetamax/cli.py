@@ -110,7 +110,8 @@ def run_consistency(
         bits_br = br.predict_rows(test_X)
 
         psi_regret = evaluation.surrogate_regret_estimate(model, test_X, test.stat_probs)
-        f_regret = evaluation.exact_f_regret(test.stat_probs, bits_surr, s, beta)
+        # exact_f_regret, with the Bayes labeling decoded once above
+        f_regret = f1_bayes - evaluation.mean_expected_f(test.stat_probs, bits_surr, beta)
         bound, bound_ok = evaluation.check_regret_bound(f_regret, psi_regret, s, beta)
         rows.append(
             ConsistencyRow(
@@ -169,21 +170,25 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """'1e-4:1e3' expands decade by decade; otherwise a comma list of floats."""
+    """'1e-4:1e3' gives the powers of ten in [lo, hi]; otherwise a comma list of floats."""
     if ":" in text:
         lo_txt, hi_txt = text.split(":", 1)
         lo, hi = float(lo_txt), float(hi_txt)
-        if lo <= 0 or hi <= 0 or hi < lo:
-            raise ValueError("grid endpoints must be positive with lo <= hi")
-        e0 = round(np.log10(lo))
-        e1 = round(np.log10(hi))
-        return tuple(10.0 ** e for e in range(int(e0), int(e1) + 1))
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError("grid endpoints must be positive and finite with lo <= hi")
+        # the exponent range errs wide and the bounds test picks the decades inside;
+        # "1e<e>" parses to the decade a user types, which 10.0 ** e misses at e = 23
+        exps = range(int(np.floor(np.log10(lo))), int(np.ceil(np.log10(hi))) + 1)
+        grid = tuple(x for x in (float(f"1e{e}") for e in exps) if lo <= x <= hi)
+        if not grid:
+            raise ValueError(f"grid range {text!r} holds no power of ten")
+        return grid
     try:
         grid = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad grid {text!r}") from None
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("grid values must be positive")
+    if not grid or not all(0 < g < np.inf for g in grid):
+        raise ValueError("grid values must be positive and finite")
     return grid
 
 

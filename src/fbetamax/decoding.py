@@ -28,7 +28,6 @@ __all__ = [
     "chunk_rows",
     "decode_brute",
     "decode_rows",
-    "row_chunks",
 ]
 
 # entries of an estimated mean vector may overshoot [0, 1] by at most this
@@ -77,12 +76,8 @@ def chunk_rows(s: int) -> int:
     return max(1, CHUNK_ENTRIES // (s * s + 1))
 
 
-def row_chunks(m: int, s: int) -> list[slice]:
-    """Consecutive row slices of at most chunk_rows(s) rows covering 0..m."""
-    return _slices(m, chunk_rows(s))
-
-
 def _slices(m: int, step: int) -> list[slice]:
+    """Consecutive row slices of at most step rows covering 0..m."""
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
@@ -134,7 +129,7 @@ def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
     """
     step = chunk_rows(s)
     if m <= step or _WORKERS == 1:
-        for rows in row_chunks(m, s):
+        for rows in _slices(m, step):
             piece(rows)
         return
     todo = deque(enumerate(_slices(m, max(1, step // _PIECES_PER_CHUNK))))
@@ -168,6 +163,29 @@ def _check_means(chunk: np.ndarray) -> None:
         raise ValueError(f"estimated means must lie in [0, 1] up to {PROB_TOL:g}")
 
 
+def _decode_piece(chunk: np.ndarray, s: int, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check and decode one piece of means as decode_rows does; coeffs is _coeff_table(s, beta)."""
+    _check_means(chunk)
+    n = chunk.shape[0]
+    tags = np.arange(s)
+    # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
+    T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
+    # entry l-1 of row l-1 after the cumsum holds the optimum over labelings of size l
+    best_by_size = np.sort(T, axis=2)
+    np.cumsum(best_by_size, axis=2, out=best_by_size)
+    objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
+    # freed before the piece ranks tags: at most three (n, s, s) arrays live
+    del best_by_size
+    # argmax takes the first True, i.e. the smallest size among the ties
+    choice = np.argmax(_near_min(objs), axis=1)
+    # only the chosen size's scores are ranked; the stable sort keeps the
+    # smallest tag first among tied per-tag scores
+    column = T[np.arange(n), np.maximum(choice, 1) - 1]
+    rank = np.empty((n, s), dtype=np.intp)
+    np.put_along_axis(rank, np.argsort(column, axis=1, kind="stable"), tags[None, :], axis=1)
+    return rank < choice[:, None], objs[np.arange(n), choice]
+
+
 def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndarray, np.ndarray]:
     """Decode a batch of estimated mean vectors.
 
@@ -185,37 +203,17 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
         raise ValueError(f"expected shape (m, {s * s + 1}), got {P.shape}")
     m = P.shape[0]
     coeffs = _coeff_table(s, beta)
-    tags = np.arange(s)
     bits = np.empty((m, s), dtype=np.uint8)
     objectives = np.empty(m)
 
     def piece(rows: slice) -> None:
-        chunk = P[rows]
-        _check_means(chunk)
-        n = chunk.shape[0]
-        # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
-        T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
-        # entry l-1 of row l-1 after the cumsum holds the optimum over labelings of size l
-        best_by_size = np.sort(T, axis=2)
-        np.cumsum(best_by_size, axis=2, out=best_by_size)
-        objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
-        # freed before the piece ranks tags: at most three (n, s, s) arrays live
-        del best_by_size
-        # argmax takes the first True, i.e. the smallest size among the ties
-        choice = np.argmax(_near_min(objs), axis=1)
-        # only the chosen size's scores are ranked; the stable sort keeps the
-        # smallest tag first among tied per-tag scores
-        column = T[np.arange(n), np.maximum(choice, 1) - 1]
-        rank = np.empty((n, s), dtype=np.intp)
-        np.put_along_axis(rank, np.argsort(column, axis=1, kind="stable"), tags[None, :], axis=1)
-        bits[rows] = rank < choice[:, None]
-        objectives[rows] = objs[np.arange(n), choice]
+        bits[rows], objectives[rows] = _decode_piece(P[rows], s, coeffs)
 
     try:
         _map_rows(piece, m, s)
     except ValueError:
         # a piece may be part of a chunk: report the first bad chunk as a whole
-        for rows in row_chunks(m, s):
+        for rows in _slices(m, chunk_rows(s)):
             _check_means(P[rows])
         raise
     return bits, objectives

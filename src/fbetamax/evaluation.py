@@ -78,10 +78,12 @@ def _cell(val) -> str:
 
 def _as_bit_matrix(labelings: Sequence[LabelVec] | np.ndarray) -> np.ndarray:
     if isinstance(labelings, np.ndarray):
-        bits = np.asarray(labelings)
-        if bits.ndim != 2:
+        if labelings.ndim != 2:
             raise ValueError("expected a 2-d bit matrix")
-        return bits.astype(np.int64)
+        # checked before the cast, which would truncate 0.5 to 0
+        if not np.all((labelings == 0) | (labelings == 1)):
+            raise ValueError("label values must be 0 or 1")
+        return labelings.astype(np.int64)
     return np.array([y.bits for y in labelings], dtype=np.int64)
 
 

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
-from .decoding import _map_rows, decode_rows, row_chunks
+from .decoding import _coeff_table, _decode_piece, _map_rows
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
 from .surrogate import SurrogateConfig, coordinates
 
@@ -168,14 +168,13 @@ class _RowScorer:
     """Scoring shared by the models: rows of weights, bias last, one row piece at a time.
 
     A model holds s, d and weights, a read-only (rows, d+1) matrix whose
-    rows are exactly the body of its model file.  predict_rows decodes the
-    model's stat_prob_rows, which maps a piece's raw scores to statistic
-    means; a batch of more than one chunk is scored in pieces on worker
-    threads.  When a LinearModel models every coordinate, its scores are
-    already in the (m, s^2+1) statistic layout, so expit writes each piece
-    straight into the output; otherwise the probabilities go through an
-    (n, s, s) view into a zero-filled output, exactly 0 where no scorer
-    is fit.
+    rows are exactly the body of its model file.  A decoding model also
+    holds beta and supplies _means(scores, out), which turns a piece's raw
+    scores into its (n, s^2+1) statistic means in out.  stat_prob_rows
+    stores each piece's means into the returned matrix; predict_rows
+    scores, links and decodes each piece into a buffer of the piece's own
+    size and keeps only its bits.  Either way a batch of more than one
+    chunk runs in pieces on worker threads (decoding._map_rows).
     """
 
     @cached_property
@@ -217,15 +216,30 @@ class _RowScorer:
         self._map_scores(X, write)
         return out
 
-    def predict_rows(self, X) -> np.ndarray:
-        """(m, s) decoded labelings as a bit matrix, scored and decoded chunk by chunk."""
+    def stat_prob_rows(self, X) -> np.ndarray:
+        """(m, s^2+1) estimated means; coordinates with no scorer are exactly 0."""
         X = _as_feature_matrix(X, self.d)
-        chunks = row_chunks(X.shape[0], self.s)
-        bits = np.empty((X.shape[0], self.s), dtype=np.uint8)
-        for rows in chunks:
-            # a single chunk is X itself, unsliced
-            X_rows = X if len(chunks) == 1 else X[rows]
-            bits[rows], _ = decode_rows(self.stat_prob_rows(X_rows), self.s, self.beta)
+        out = np.empty((X.shape[0], self.s * self.s + 1))
+
+        def write(rows: slice, scores: np.ndarray) -> None:
+            self._means(scores, out[rows])
+
+        self._map_scores(X, write)
+        return out
+
+    def predict_rows(self, X) -> np.ndarray:
+        """(m, s) decoded labelings as a bit matrix, each piece scored and decoded at once."""
+        X = _as_feature_matrix(X, self.d)
+        s = self.s
+        coeffs = _coeff_table(s, self.beta)
+        bits = np.empty((X.shape[0], s), dtype=np.uint8)
+
+        def write(rows: slice, scores: np.ndarray) -> None:
+            means = np.empty((len(scores), s * s + 1))
+            self._means(scores, means)
+            bits[rows] = _decode_piece(means, s, coeffs)[0]
+
+        self._map_scores(X, write)
         return bits
 
 
@@ -692,29 +706,19 @@ class LinearModel(_RowScorer):
     def active_flats(self) -> np.ndarray:
         return coordinates(self.s, self.counts)[1]
 
-    def stat_prob_rows(self, X) -> np.ndarray:
-        """(m, s^2+1) estimated means; inactive coordinates are exactly 0."""
-        X = _as_feature_matrix(X, self.d)
+    def _means(self, scores: np.ndarray, out: np.ndarray) -> None:
         s, counts = self.s, self.counts
         # a full count set's coordinates are the whole layout in order
         if len(counts) == s:
-            out = np.empty((X.shape[0], s * s + 1))
-
-            def write(rows: slice, scores: np.ndarray) -> None:
-                expit(scores, out=out[rows])
-        else:
-            out = np.zeros((X.shape[0], s * s + 1))
-            # columns k-1, k in K, of the (n, tag, count) view of out[rows, 1:]
-            ks = np.asarray(counts, dtype=np.intp) - 1
-
-            def write(rows: slice, scores: np.ndarray) -> None:
-                n = len(scores)
-                expit(scores, out=scores)
-                out[rows, 0] = scores[:, 0]
-                out[rows, 1:].reshape(n, s, s)[:, :, ks] = scores[:, 1:].reshape(n, s, len(ks))
-
-        self._map_scores(X, write)
-        return out
+            expit(scores, out=out)
+            return
+        n = len(scores)
+        expit(scores, out=scores)
+        out.fill(0.0)
+        out[:, 0] = scores[:, 0]
+        # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]
+        ks = np.asarray(counts, dtype=np.intp) - 1
+        out[:, 1:].reshape(n, s, s)[:, :, ks] = scores[:, 1:].reshape(n, s, len(ks))
 
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:

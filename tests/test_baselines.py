@@ -166,6 +166,8 @@ class TestEfpModel:
             expected[:, [StatIndex.pair(j, k).flat(s) for k in counts]] = probs[:, 1:]
         for m in (c - 1, c, c + 1, 2 * c + 1):
             np.testing.assert_array_equal(model.stat_prob_rows(X_all[:m]), expected[:m])
+            np.testing.assert_array_equal(model.predict_rows(X_all[:m]),
+                                          decode_rows(expected[:m], s, B1)[0])
 
     @pytest.mark.parametrize("counts", [(), (1,), (1, 3), (1, 2, 3, 4)])
     def test_pair_view_store_matches_fancy_index_assembly(self, counts):

@@ -443,6 +443,12 @@ class TestCrossvalCommand:
             _parse_grid("1e3:1e-3")
         with pytest.raises(ValueError):
             _parse_grid("0,-1")
+        # only the decades inside [lo, hi], and none is an error
+        assert _parse_grid("2e-3:5e-1") == (0.01, 0.1)
+        assert _parse_grid("1e23:1e23") == (1e23,)
+        for text in ("0.5:0.7", "1:inf", "nan:1", "nan,1", "1,inf"):
+            with pytest.raises(ValueError):
+                _parse_grid(text)
 
     def test_sizes_parsing(self):
         assert _parse_sizes("10,20") == (10, 20)

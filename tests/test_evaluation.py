@@ -79,6 +79,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate([], [], B1)
 
+    @pytest.mark.parametrize("bad", [[[2, 0]], [[1, 3]], [[2, -1]], [[0.5, 1.0]]])
+    def test_rejects_non_bit_entries(self, bad):
+        bad = np.array(bad)
+        ok = np.zeros(bad.shape, dtype=np.uint8)
+        for call in (lambda: evaluate_bits(bad, ok, B1), lambda: evaluate_bits(ok, bad, B1),
+                     lambda: evaluate(ok, bad, B1),
+                     lambda: mean_expected_f(np.full((1, 5), 0.1), bad, B1)):
+            with pytest.raises(ValueError, match="label values must be 0 or 1"):
+                call()
+
 
 class TestEvalReport:
     def test_kv_and_csv_with_absent_fields(self):

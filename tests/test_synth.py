@@ -132,7 +132,8 @@ class TestSampling:
     def test_dirichlet_component_means(self):
         dist = build_distribution(seed=9, s=2, d=8)
         n = 20000
-        probs = np.stack([sample_point(dist, i).outcome_probs for i in range(n)])
+        # the outcome probabilities of sample_point(dist, i) for i < n, drawn as one block
+        probs = _sample_rows(dist, 0, n, 0)[0]
         alpha = dist.concentration
         a0 = alpha.sum()
         want = alpha / a0

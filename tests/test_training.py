@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit, logsumexp
 
+from fbetamax import decoding, training
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.surrogate import SurrogateConfig, binary_targets
@@ -411,6 +412,35 @@ class TestLinearModelPrediction:
             np.testing.assert_array_equal(model.score_rows(X), scores[:m])
             np.testing.assert_array_equal(model.predict_rows(X),
                                           decode_rows(expected[:m], s, B1)[0])
+
+    def test_predict_rows_runs_the_pieces_of_stat_prob_rows(self, row_workers, monkeypatch):
+        s, d = 6, 4
+        c = chunk_rows(s)
+        scfg = SurrogateConfig.for_counts(s, [1, 3, s], B1)
+        W = np.random.default_rng(1700).normal(size=(scfg.n_subproblems(), d + 1))
+        model = LinearModel(s=s, d=d, beta=B1, active_indices=scfg.active_indices,
+                            weights=W, bias=True, reg_lambda=0.0)
+        X = sparse.random(2 * c + 1, d, density=0.5, format="csr",
+                          random_state=np.random.RandomState(17))
+        pieces = []
+        map_rows = training._map_rows
+
+        def recording_map(piece, m, s):
+            def recorded(rows):
+                pieces.append((rows.start, rows.stop))
+                piece(rows)
+
+            map_rows(recorded, m, s)
+
+        monkeypatch.setattr(training, "_map_rows", recording_map)
+        model.stat_prob_rows(X)
+        want = sorted(pieces)
+        pieces.clear()
+        model.predict_rows(X)
+        assert sorted(pieces) == want
+        # more than one worker cuts the batch into quarter chunks, not whole chunks
+        step = c // decoding._PIECES_PER_CHUNK if decoding._WORKERS > 1 else c
+        assert max(stop - start for start, stop in want) == step
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("form", ["dense", "sparse"])
