@@ -90,7 +90,9 @@ def _usable_cpus() -> int:
 
 # a batch of more than one chunk runs in pieces of a quarter chunk, on one
 # thread per CPU this process may run on (taskset limits them) but at most
-# one per piece of a chunk, so the threads together hold one chunk's temporaries
+# one per piece of a chunk, so the threads together hold one chunk's
+# temporaries.  training._lbfgs runs its column blocks on the same threads,
+# sizing them so that they together keep its memory budget.
 _PIECES_PER_CHUNK = 4
 _WORKERS = min(_PIECES_PER_CHUNK, _usable_cpus())
 _POOL: ThreadPoolExecutor | None = None
@@ -116,43 +118,56 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
-    """Call piece(rows) on consecutive row slices that cover 0..m.
+def _run_slices(piece: Callable[[slice], None], slices: list[slice]) -> None:
+    """Call piece(part) once for each slice, taken in list order.
 
-    At most chunk_rows(s) rows run as one piece on this thread, as does
-    every chunk when there is one worker.  A larger batch is cut into
-    pieces of chunk_rows(s) // _PIECES_PER_CHUNK rows, taken in row order
-    by this thread and _WORKERS - 1 pool threads.  A piece must write only
-    its own rows, call no public function and not use the pool.  After a
-    failure no new piece starts, and the exception of the first failing
-    piece in row order is raised, as a serial pass would raise it.
+    This thread and up to _WORKERS - 1 pool threads take the slices, so
+    at most min(_WORKERS, len(slices)) pieces run at once; with one worker
+    or one slice every piece runs on this thread.  It runs the row pieces
+    of _map_rows and the column blocks of training._lbfgs.  A piece must
+    write only its own part, call no public function and not use the pool.
+    After a failure no new piece starts, and the exception of the first
+    failing slice in list order is raised, as a serial pass would raise it.
     """
-    step = chunk_rows(s)
-    if m <= step or _WORKERS == 1:
-        for rows in _slices(m, step):
-            piece(rows)
+    threads = min(_WORKERS, len(slices))
+    if threads <= 1:
+        for part in slices:
+            piece(part)
         return
-    todo = deque(enumerate(_slices(m, max(1, step // _PIECES_PER_CHUNK))))
+    todo = deque(enumerate(slices))
     errors: dict[int, BaseException] = {}
 
     def work() -> None:
         while not errors:
             try:
-                i, rows = todo.popleft()
+                i, part = todo.popleft()
             except IndexError:
                 return
             try:
-                piece(rows)
+                piece(part)
             except BaseException as exc:  # re-raised on the calling thread below
                 errors[i] = exc
 
     pool = _pool()
-    helpers = [pool.submit(work) for _ in range(_WORKERS - 1)]
+    helpers = [pool.submit(work) for _ in range(threads - 1)]
     work()
     for helper in helpers:
         helper.result()
     if errors:
         raise errors[min(errors)]
+
+
+def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
+    """Call piece(rows) on consecutive row slices that cover 0..m, through _run_slices.
+
+    At most chunk_rows(s) rows run as one piece on this thread, as does
+    every chunk when there is one worker.  A larger batch is cut into
+    pieces of chunk_rows(s) // _PIECES_PER_CHUNK rows for the workers.
+    """
+    step = chunk_rows(s)
+    if m > step and _WORKERS > 1:
+        step = max(1, step // _PIECES_PER_CHUNK)
+    _run_slices(piece, _slices(m, step))
 
 
 def _check_means(chunk: np.ndarray) -> None:

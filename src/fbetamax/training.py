@@ -11,8 +11,10 @@ active set.  Small problems on dense features (NEWTON_MAX_DIM,
 NEWTON_MIN_DENSITY) take damped Newton directions, one Cholesky solve per
 subproblem and iteration with curvature from the current weights; the
 rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45, 1989)
-in blocks of columns sized by LBFGS_BLOCK_ENTRIES.  Results are
-deterministic, and a column's result does not depend on its batch.
+in blocks of columns, which run at once on the row worker threads
+(decoding._run_slices) and together fit LBFGS_BLOCK_ENTRIES.  Results are
+deterministic, and a column's result does not depend on its batch or on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import takewhile
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +30,8 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
-from .decoding import _coeff_table, _decode_piece, _map_rows
+from . import decoding
+from .decoding import _coeff_table, _decode_piece, _map_rows, _run_slices, _slices
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
 from .surrogate import SurrogateConfig, coordinates
 
@@ -120,10 +124,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.reg_lambda) or self.reg_lambda < 0.0:
             raise ValueError("reg_lambda must be a finite non-negative real")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        # a bool is an Integral too, but True is no iteration count
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an int >= 1")
+        # an infinite tolerance passes the gradient test at the zero start, untrained
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError("grad_tol must be a finite positive real")
 
 
 @dataclass(frozen=True)
@@ -276,9 +283,10 @@ class _RowScorer:
 NEWTON_MAX_DIM = 1000
 NEWTON_MIN_DENSITY = 0.5
 
-# Each L-BFGS block of columns holds about this many history and row
-# entries: 2*_MEMORY*p history plus m row temporaries per column, so the
-# block width, not the number of columns, bounds the solver's memory.
+# The L-BFGS blocks that run at once, one per worker thread, together hold
+# about this many history and row entries: 2*_MEMORY*p history plus m row
+# temporaries per column, so the block width, not the number of columns or
+# of threads, bounds the solver's memory.
 LBFGS_BLOCK_ENTRIES = 1 << 20
 
 # sufficient-decrease constant of the backtracking line search
@@ -588,27 +596,42 @@ class _LimitedMemory:
 def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
     """Batched L-BFGS over n parameter columns of length dim, in blocks of columns.
 
-    Each block runs _descent with its own _LimitedMemory directions; the
-    ring buffers are allocated once, at the width that fits
-    LBFGS_BLOCK_ENTRIES, and reused by every block.  Returns the same
-    arrays as _descent.
+    Each block runs _descent with its own _LimitedMemory directions, and
+    the blocks run on the row workers (decoding._run_slices).  With w
+    workers a block is at most ceil(n / w) columns wide, and w blocks
+    together fit LBFGS_BLOCK_ENTRIES.  The ring buffers are allocated
+    once, one slot per block that can run at a time; a block takes a free
+    slot and gives it back when it ends.  Returns the same arrays as
+    _descent.
     """
-    width = max(1, min(n, LBFGS_BLOCK_ENTRIES // (2 * _MEMORY * dim + m)))
-    S = np.empty((width, _MEMORY, dim))
+    workers = decoding._WORKERS
+    per_column = 2 * _MEMORY * dim + m
+    width = max(1, min(-(-n // workers), LBFGS_BLOCK_ENTRIES // (workers * per_column)))
+    blocks = _slices(n, width)
+    S = np.empty((min(workers, len(blocks)), width, _MEMORY, dim))
     Y = np.empty_like(S)
+    # list.pop and list.append are atomic, and no more blocks run at once than there are slots
+    free = list(range(len(S)))
     W = np.empty((dim, n))
     f = np.empty(n)
     G = np.empty((dim, n))
     iters = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, width):
-        block = np.arange(lo, min(n, lo + width))
 
-        def evaluate_block(V, cols, block=block):
-            return evaluate(V, block[cols])
+    def run(block: slice) -> None:
+        columns = np.arange(block.start, block.stop)
 
-        W[:, block], f[block], G[:, block], iters[block] = _descent(
-            evaluate_block, _LimitedMemory(S, Y), dim, block.size, cfg
-        )
+        def evaluate_block(V, cols):
+            return evaluate(V, columns[cols])
+
+        slot = free.pop()
+        try:
+            W[:, block], f[block], G[:, block], iters[block] = _descent(
+                evaluate_block, _LimitedMemory(S[slot], Y[slot]), dim, columns.size, cfg
+            )
+        finally:
+            free.append(slot)
+
+    _run_slices(run, blocks)
     return W, f, G, iters
 
 
@@ -622,8 +645,8 @@ def fit_logistic_columns(
     the bias last (zero when disabled) and one report per column, named by
     names.  Small problems on dense features share one damped-Newton run
     (see NEWTON_MAX_DIM); the others run batched L-BFGS in blocks of
-    columns.  Either way a column's result does not depend on which other
-    columns are fit with it.
+    columns on the row workers.  Either way a column's result does not
+    depend on which other columns are fit with it, nor on the thread count.
     """
     X = sparse.csr_matrix(X, dtype=np.float64)
     m, d = X.shape

@@ -232,7 +232,7 @@ class TestBinarySolver:
         assert wb[3] == 0.0
 
     def test_columns_match_one_column_fits_exactly_above_cutoff(self, monkeypatch):
-        # sparse and above the cutoff: batched L-BFGS, here two columns per block
+        # sparse and above the cutoff: batched L-BFGS, here at most two columns per block
         import fbetamax.training as training_mod
 
         rng = np.random.default_rng(23)
@@ -279,6 +279,104 @@ class TestBinarySolver:
         assert out.strip() == "False"
 
 
+def _lbfgs_problem(n: int):
+    """An L-BFGS problem (sparse, above the cutoff) with n target columns, and its m and p."""
+    rng = np.random.default_rng(31)
+    m, d = 150, NEWTON_MAX_DIM + 2
+    X = sparse.random(m, d, density=0.02, format="csr", random_state=np.random.RandomState(31))
+    T = (rng.random((m, 9)) < expit(X @ (rng.normal(size=(d, 9)) * 3.0))).astype(float)
+    T[:, 2] = 0.0  # a saturating column converges later than the others
+    return X, T[:, :n], m, d + 1
+
+
+class TestLbfgsBlocks:
+    """Column blocks run on the row workers and share one memory budget."""
+
+    @pytest.fixture(scope="class")
+    def one_column_fits(self):
+        X, T, _, _ = _lbfgs_problem(9)
+        cfg = TrainConfig(reg_lambda=0.01)
+        return [fit_binary_logistic(X, T[:, c], cfg, name=str(c)) for c in range(9)]
+
+    @pytest.mark.parametrize("n", [1, 8, 9])
+    def test_blocks_on_workers_match_one_column_fits(self, n, one_column_fits, row_workers,
+                                                     monkeypatch):
+        # widths 4, 2 and 1 at 1, 2 and 4 workers: n = 1 is one block, 8 a multiple of
+        # the width and 9 one column more
+        X, T, m, p = _lbfgs_problem(n)
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * (2 * 10 * p + m))
+        names = [str(c) for c in range(n)]
+        W, reports = fit_logistic_columns(X, T, TrainConfig(reg_lambda=0.01), names)
+        for c in range(n):
+            wb, report = one_column_fits[c]
+            np.testing.assert_array_equal(W[c], wb)
+            assert reports[c] == report and report.converged
+
+    @pytest.mark.parametrize("row_workers", [2], indirect=True)
+    @pytest.mark.parametrize("n, want", [(4, [(0, 2), (2, 4)]), (7, [(0, 3), (3, 6), (6, 7)])])
+    def test_two_workers_halve_the_width_within_the_budget(self, n, want, row_workers, monkeypatch):
+        X, T, m, p = _lbfgs_problem(n)
+        # one worker would take blocks of 6 columns
+        budget = 6 * (2 * 10 * p + m)
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
+        blocks, buffers = [], {}
+        run_slices = training._run_slices
+
+        def recording_run(piece, slices):
+            blocks.extend((part.start, part.stop) for part in slices)
+            run_slices(piece, slices)
+
+        class RecordingMemory(training._LimitedMemory):
+            def __init__(self, S, Y):
+                # each slot is a view into the call's one S and one Y buffer
+                buffers.update({id(S.base): S.base, id(Y.base): Y.base})
+                super().__init__(S, Y)
+
+        monkeypatch.setattr(training, "_run_slices", recording_run)
+        monkeypatch.setattr(training, "_LimitedMemory", RecordingMemory)
+        names = [str(c) for c in range(n)]
+        _, reports = fit_logistic_columns(X, T, TrainConfig(reg_lambda=0.01), names)
+        assert all(r.converged for r in reports)
+        assert blocks == want
+        width = max(stop - start for start, stop in blocks)
+        assert width <= -(-n // 2)
+        # two blocks at once hold their row temporaries and the slots their histories
+        assert 2 * width * (2 * 10 * p + m) <= budget
+        assert len(buffers) == 2
+        assert sum(buf.size for buf in buffers.values()) <= budget
+        assert all(buf.shape == (2, width, 10, p) for buf in buffers.values())
+
+    def test_the_first_failing_block_is_raised(self, row_workers, monkeypatch):
+        # blocks [0:4] [4:8] [8:9], [0:2] .. [8:9] or one column each: columns 4
+        # and 8 fail in two blocks after the first
+        X, T, m, p = _lbfgs_problem(9)
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * (2 * 10 * p + m))
+        cfg = TrainConfig(reg_lambda=0.01)
+        names = [str(c) for c in range(9)]
+        want, want_reports = fit_logistic_columns(X, T, cfg, names)
+        objective = training._logistic_objective
+
+        def failing_objective(X, T, cfg):
+            evaluate = objective(X, T, cfg)
+
+            def checked(W, cols):
+                bad = [c for c in (4, 8) if c in cols]
+                if bad:
+                    raise RuntimeError(f"column {bad[0]}")
+                return evaluate(W, cols)
+
+            return checked
+
+        monkeypatch.setattr(training, "_logistic_objective", failing_objective)
+        with pytest.raises(RuntimeError, match="column 4"):
+            fit_logistic_columns(X, T, cfg, names)
+        # the pool and the next call's buffers are unharmed
+        monkeypatch.setattr(training, "_logistic_objective", objective)
+        W, reports = fit_logistic_columns(X, T, cfg, names)
+        np.testing.assert_array_equal(W, want)
+        assert reports == want_reports
+
+
 class TestTrainConfig:
     def test_rejects_negative_reg(self):
         with pytest.raises(ValueError):
@@ -295,6 +393,20 @@ class TestTrainConfig:
     def test_rejects_zero_iters(self):
         with pytest.raises(ValueError):
             TrainConfig(max_iters=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # an infinite tolerance would report untrained zero weights as converged
+        with pytest.raises(ValueError, match="grad_tol"):
+            TrainConfig(grad_tol=tol)
+
+    @pytest.mark.parametrize("iters", [2.5, 3.0, True, "3"])
+    def test_rejects_non_int_iters(self, iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            TrainConfig(max_iters=iters)
+
+    def test_accepts_numpy_int_iters(self):
+        assert TrainConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestTrainSurrogate:
