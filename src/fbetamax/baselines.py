@@ -55,8 +55,9 @@ class EfpModel(_RowScorer):
     reports: tuple[SubproblemReport, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = tuple(int(k) for k in self.counts)
-        if sorted(set(counts)) != list(counts) or any(k < 1 or k > self.s for k in counts):
+        # counts equal their normalized count set only if sorted, unique and within 1..s
+        counts = SurrogateConfig(self.s, self.beta, self.counts).counts
+        if counts != tuple(self.counts):
             raise ValueError("counts must be strictly increasing and lie in 1..s")
         rows = 1 + self.s * (1 + len(counts))
         object.__setattr__(self, "weights", _weight_rows(self.weights, rows, self.d))
@@ -74,26 +75,23 @@ class EfpModel(_RowScorer):
 
 def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
     """Fit the count-stratified baseline on the observed counts of the sample."""
-    if data.m == 0:
-        raise ValueError("cannot train on an empty dataset")
     counts = SurrogateConfig.for_counts(data.s, data.observed_counts, beta).counts
     popcounts = data.bits.sum(axis=1)
     weights = np.zeros((1 + data.s * (1 + len(counts)), data.d + 1))
     weights[:1], reports = fit_logistic_columns(
         data.features, (popcounts == 0)[:, None], cfg, ["zero"]
     )
-    # class of an active tag: the position of its row's count among counts
-    class_of_count = np.zeros(data.s + 1, dtype=np.intp)
-    class_of_count[list(counts)] = np.arange(1, len(counts) + 1)
     # with no positive count every tag block has one class, probability 1: nothing to fit
-    blocks = weights[1:].reshape(data.s, 1 + len(counts), data.d + 1)
-    for j in range(1, data.s + 1) if counts else ():
-        class_of = np.where(data.bits[:, j - 1] == 1, class_of_count[popcounts], 0)
-        fit = train_multinomial(
-            data, class_of, len(counts) + 1, cfg, name=f"tag {j}"
+    if counts:
+        # class of an active tag: the position of its row's count among counts
+        class_of_count = np.zeros(data.s + 1, dtype=np.intp)
+        class_of_count[list(counts)] = np.arange(1, len(counts) + 1)
+        classes = np.where(data.bits == 1, class_of_count[popcounts][:, None], 0)
+        blocks = weights[1:].reshape(data.s, 1 + len(counts), data.d + 1)
+        blocks[:], tag_reports = train_multinomial(
+            data.features, classes, len(counts) + 1, cfg, [f"tag {j}" for j in range(1, data.s + 1)]
         )
-        blocks[j - 1] = fit.weights
-        reports.append(fit.report)
+        reports += tag_reports
     return EfpModel(
         s=data.s,
         d=data.d,
@@ -131,8 +129,6 @@ class BrModel(_RowScorer):
 
 def train_br(data: Dataset, cfg: TrainConfig) -> BrModel:
     """Fit s independent per-tag binary logistic models."""
-    if data.m == 0:
-        raise ValueError("cannot train on an empty dataset")
     weights, reports = fit_logistic_columns(
         data.features, data.bits, cfg, [f"tag {j}" for j in range(1, data.s + 1)]
     )

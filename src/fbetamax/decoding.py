@@ -213,6 +213,8 @@ def decode_rows(prob_rows: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndar
     threads, which together hold one chunk's temporaries, so memory stays
     O(chunk * s^2) whatever m is.
     """
+    if s < 1:
+        raise ValueError("s must be >= 1")
     P = np.asarray(prob_rows, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != s * s + 1:
         raise ValueError(f"expected shape (m, {s * s + 1}), got {P.shape}")

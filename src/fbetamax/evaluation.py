@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoding import _map_rows, decode_rows
+from .decoding import _check_means, _map_rows, decode_rows
 from .fmeasure import BetaParam, LabelVec, _loss_coeffs_rows
 from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
@@ -140,9 +140,12 @@ def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaPara
     m, s = pred_bits.shape
     if prob_rows.shape != (m, s * s + 1):
         raise ValueError(f"expected means of shape ({m}, {s * s + 1}), got {prob_rows.shape}")
+    if m == 0:
+        raise ValueError("cannot evaluate an empty test set")
     per_point = np.empty(m)
 
     def piece(rows: slice) -> None:
+        _check_means(prob_rows[rows])
         coeffs = _loss_coeffs_rows(pred_bits[rows], beta)
         per_point[rows] = -np.sum(prob_rows[rows] * coeffs, axis=1)
 
@@ -153,6 +156,8 @@ def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaPara
 def bayes_f(prob_rows: np.ndarray, s: int, beta: BetaParam) -> float:
     """Mean expected F-beta of the optimal decoder given the true means."""
     bits, objectives = decode_rows(prob_rows, s, beta)
+    if len(objectives) == 0:
+        raise ValueError("cannot evaluate an empty test set")
     return float(np.mean(-objectives))
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .fmeasure import BetaParam, LabelVec, StatIndex, label_stats, label_stats_matrix
+from .fmeasure import BetaParam, LabelVec, StatIndex, label_stats
 from .losses import logistic_gradient, logistic_loss
 
 __all__ = [
@@ -67,7 +68,11 @@ class SurrogateConfig:
     def __post_init__(self) -> None:
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        counts = tuple(sorted({int(k) for k in self.counts if k >= 1}))
+        counts = tuple(self.counts)
+        # int() would truncate 2.5 to 2; a bool is an Integral too, but no count
+        if any(isinstance(k, bool) or not isinstance(k, Integral) for k in counts):
+            raise ValueError("counts must be integers")
+        counts = tuple(sorted({int(k) for k in counts if k >= 1}))
         if any(k > self.s for k in counts):
             raise ValueError("counts must lie in 1..s")
         object.__setattr__(self, "counts", counts)
@@ -128,7 +133,12 @@ def binary_targets(data, index: StatIndex) -> np.ndarray:
     """Per-instance 0/1 value of one statistic coordinate over a dataset.
 
     data is a Dataset or its (m, s) bit matrix.  These are the binary labels
-    of the subproblem at `index`.
+    of the subproblem at `index`, built without the (m, s^2+1) statistic matrix.
     """
     bits = np.asarray(getattr(data, "bits", data))
-    return label_stats_matrix(bits)[:, index.flat(bits.shape[1])].astype(np.uint8)
+    if bits.ndim != 2:
+        raise ValueError("expected a 2-d bit matrix")
+    index.flat(bits.shape[1])  # rejects a coordinate outside the layout
+    counts = bits.sum(axis=1)
+    hit = counts == 0 if index.is_zero else (bits[:, index.j - 1] == 1) & (counts == index.k)
+    return hit.astype(np.uint8)

@@ -1,26 +1,26 @@
 """Regularized linear estimation of the per-coordinate class probabilities.
 
-Every active statistic coordinate gets its own binary logistic model over
-the shared sparse features, all fit by one call that takes the whole target
-matrix; the count-stratified baseline adds softmax blocks.  Each loss has
-one objective (_logistic_objective, _softmax_objective): values and
-analytic gradients from one sparse product with X and one with its
-transpose, the bias being its own weight row.  Solvers differ only in the
-direction they feed to _descent, the shared per-column Armijo search and
-active set.  Small problems on dense features (NEWTON_MAX_DIM,
-NEWTON_MIN_DENSITY) take damped Newton directions, one Cholesky solve per
-subproblem and iteration with curvature from the current weights; the
-rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45, 1989)
-in blocks of columns, which run at once on the row worker threads
-(decoding._run_slices) and together fit LBFGS_BLOCK_ENTRIES.  Results are
-deterministic, and a column's result does not depend on its batch or on
-the number of threads.
+Every active statistic coordinate gets a binary logistic model over the
+shared sparse features, all fit by one fit_logistic_columns call; the
+count-stratified baseline's s softmax blocks, one per tag, are all fit by
+one train_multinomial call.  Both go through one solver dispatch
+(_fit_columns) over one objective per loss (_logistic_objective,
+_softmax_objective): values and analytic gradients of any set of columns
+from one sparse product with X and one with its transpose, the bias being
+its own weight row.  Solvers differ only in the direction they feed to
+_descent, the shared per-column Armijo search and active set.  Small
+problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) take
+damped Newton directions, one Cholesky solve per column and iteration;
+the rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45,
+1989) in blocks of columns, which run at once on the row worker threads
+(decoding._run_slices) and together fit LBFGS_BLOCK_ENTRIES.  A column's
+result does not depend on its batch or on the number of threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import takewhile
 from numbers import Integral
 from typing import Sequence
@@ -39,7 +39,6 @@ __all__ = [
     "Dataset",
     "LBFGS_BLOCK_ENTRIES",
     "LinearModel",
-    "MultinomialFit",
     "NEWTON_MAX_DIM",
     "NEWTON_MIN_DENSITY",
     "SubproblemReport",
@@ -284,9 +283,9 @@ NEWTON_MAX_DIM = 1000
 NEWTON_MIN_DENSITY = 0.5
 
 # The L-BFGS blocks that run at once, one per worker thread, together hold
-# about this many history and row entries: 2*_MEMORY*p history plus m row
-# temporaries per column, so the block width, not the number of columns or
-# of threads, bounds the solver's memory.
+# about this many history and row entries: 2*_MEMORY*C*p history plus m*C
+# row temporaries per column of C weight rows (C = 1 for a binary column),
+# so the block width, not the number of columns or threads, bounds memory.
 LBFGS_BLOCK_ENTRIES = 1 << 20
 
 # sufficient-decrease constant of the backtracking line search
@@ -297,13 +296,6 @@ _ROUNDING = 4.0 * np.finfo(np.float64).eps
 _MIN_STEP = 2.0**-40
 # limited-memory pairs kept per column, L-BFGS-B's default
 _MEMORY = 10
-
-
-def _ridge(d: int, cfg: TrainConfig) -> np.ndarray:
-    """Per-weight L2 multipliers: reg_lambda on the d features, none on the bias."""
-    reg = np.full(d + int(cfg.bias), cfg.reg_lambda)
-    reg[d:] = 0.0
-    return reg
 
 
 def _use_newton(X: sparse.csr_matrix, unknowns: int, cfg: TrainConfig) -> bool:
@@ -328,17 +320,6 @@ def _column_sums(A: np.ndarray) -> np.ndarray:
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Per-row dot products, each reduced in the same order whatever rows share A."""
     return np.einsum("ij,ij->i", A, B)
-
-
-def _report(name: str, objective, grad: np.ndarray, iterations, cfg: TrainConfig) -> SubproblemReport:
-    grad_norm = float(np.max(np.abs(grad)))
-    return SubproblemReport(
-        name=name,
-        objective=float(objective),
-        grad_norm=grad_norm,
-        iterations=int(iterations),
-        converged=grad_norm <= cfg.grad_tol,
-    )
 
 
 def _solve_psd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -435,28 +416,34 @@ def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, np.log(sums[..., 0])
 
 
-def _softmax_objective(X: sparse.csr_matrix, labels: np.ndarray, C: int, cfg: TrainConfig):
-    """_descent's evaluate: ridge-penalized mean cross-entropy of one column of C x p weights."""
+def _softmax_objective(X: sparse.csr_matrix, classes: np.ndarray, C: int, cfg: TrainConfig):
+    """_descent's evaluate: ridge-penalized mean cross-entropy of each column of class indices."""
     m, d = X.shape
     p = d + int(cfg.bias)
     Xt = X.T.tocsr()
-    rows = np.arange(m)
+    rows = np.arange(m)[:, None]
     lam = cfg.reg_lambda
 
     def evaluate(W, cols):
-        V = W[:, 0].reshape(C, p)
-        Z = X @ V[:, :d].T
+        k = len(cols)
+        V = W.reshape(C, p, k)
+        Vd = V[:, :d]
+        # (m, column, class) scores: each column's C weight vectors side by side
+        Z = (X @ Vd.transpose(1, 2, 0).reshape(d, k * C)).reshape(m, k, C)
         if cfg.bias:
-            Z += V[:, d]
+            Z += V[:, d].T
         P, log_sums = _shifted_softmax(Z)
-        f = np.mean(log_sums - Z[rows, labels]) + 0.5 * lam * float(np.sum(V[:, :d] * V[:, :d]))
-        P[rows, labels] -= 1.0
+        # each row's class in every column; each column's ridge sums one C*d row
+        at = (rows, np.arange(k), classes[:, cols])
+        f = (_column_sums(log_sums - Z[at]) / m
+             + 0.5 * lam * _column_sums((Vd * Vd).reshape(C * d, k)))
+        P[at] -= 1.0
         P /= m
-        G = np.empty((C, p))
-        G[:, :d] = (Xt @ P).T + lam * V[:, :d]
+        G = np.empty((C, p, k))
+        G[:, :d] = (Xt @ P.reshape(m, k * C)).reshape(d, k, C).transpose(2, 0, 1) + lam * Vd
         if cfg.bias:
-            G[:, d] = P.sum(axis=0)
-        return np.array([f]), G.reshape(C * p, 1)
+            G[:, d] = P.sum(axis=0).T
+        return f, G.reshape(C * p, k)
 
     return evaluate
 
@@ -490,8 +477,8 @@ def _sum_zero_basis(C: int) -> np.ndarray:
     return basis / np.sqrt(k * (k + 1))
 
 
-def _newton_softmax(X: sparse.csr_matrix, C: int, reg: np.ndarray, cfg: TrainConfig):
-    """Newton directions of _softmax_objective for its one parameter column.
+def _newton_softmax(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig, C: int):
+    """Newton directions of _softmax_objective, one Cholesky solve per active column.
 
     Shifting every class by one weight vector leaves the softmax unchanged,
     so the loss Hessian vanishes on those directions.  Iterates and
@@ -507,8 +494,8 @@ def _newton_softmax(X: sparse.csr_matrix, C: int, reg: np.ndarray, cfg: TrainCon
     basis_pairs = (basis[:, :, None] * basis[:, None, :]).reshape(C, k * k)
     diag = np.diag_indices(k * p)
 
-    def direction(active, W, G):
-        P = _shifted_softmax(dense @ W[:, 0].reshape(C, p).T)[0]
+    def solve(w, g):
+        P = _shifted_softmax(dense @ w.reshape(C, p).T)[0]
         # per row, basis^T (diag P_i - P_i P_i^T) basis / m
         PB = P @ basis
         weights = (P @ basis_pairs).reshape(m, k, k) - PB[:, :, None] * PB[:, None, :]
@@ -521,10 +508,10 @@ def _newton_softmax(X: sparse.csr_matrix, C: int, reg: np.ndarray, cfg: TrainCon
                 H[b, :, a, :] = block.T
         H = H.reshape(k * p, k * p)
         H[diag] += np.tile(reg, k)
-        E = _solve_psd(H, -(basis.T @ G[:, 0].reshape(C, p)).ravel())
-        return (basis @ E.reshape(k, p)).reshape(C * p, 1)
+        E = _solve_psd(H, -(basis.T @ g.reshape(C, p)).ravel())
+        return (basis @ E.reshape(k, p)).ravel()
 
-    return direction
+    return lambda active, W, G: np.stack([solve(W[:, c], G[:, c]) for c in active], axis=1)
 
 
 class _LimitedMemory:
@@ -593,8 +580,8 @@ class _LimitedMemory:
         return Q.T
 
 
-def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
-    """Batched L-BFGS over n parameter columns of length dim, in blocks of columns.
+def _lbfgs(evaluate, dim: int, n: int, rows: int, cfg: TrainConfig):
+    """Batched L-BFGS over n parameter columns of length dim, each with rows row temporaries.
 
     Each block runs _descent with its own _LimitedMemory directions, and
     the blocks run on the row workers (decoding._run_slices).  With w
@@ -605,7 +592,7 @@ def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
     _descent.
     """
     workers = decoding._WORKERS
-    per_column = 2 * _MEMORY * dim + m
+    per_column = 2 * _MEMORY * dim + rows
     width = max(1, min(-(-n // workers), LBFGS_BLOCK_ENTRIES // (workers * per_column)))
     blocks = _slices(n, width)
     S = np.empty((min(workers, len(blocks)), width, _MEMORY, dim))
@@ -635,6 +622,35 @@ def _lbfgs(evaluate, dim: int, n: int, m: int, cfg: TrainConfig):
     return W, f, G, iters
 
 
+def _fit_columns(X: sparse.csr_matrix, evaluate, newton, C: int, n: int, names: Sequence[str],
+                 cfg: TrainConfig) -> tuple[np.ndarray, list[SubproblemReport]]:
+    """The one solver dispatch: n parameter columns of C weight rows each, over the rows of X.
+
+    Small problems on dense features share one damped-Newton run with
+    newton(X, reg, cfg)'s directions (see NEWTON_MAX_DIM); the others run
+    batched L-BFGS.  Returns (n, C, d+1) weights, bias last, and one report per column.
+    """
+    m, d = X.shape
+    if m == 0:
+        raise ValueError("cannot train on an empty dataset")
+    names = [str(name) for name in names]
+    if len(names) != n:
+        raise ValueError("one name per target column is required")
+    # per-weight L2 multipliers of a class row: reg_lambda on the d features, none on the bias
+    reg = np.where(np.arange(d + int(cfg.bias)) < d, cfg.reg_lambda, 0.0)
+    dim = C * reg.size
+    if _use_newton(X, dim, cfg):
+        W, f, G, iters = _descent(evaluate, newton(X, reg, cfg), dim, n, cfg)
+    else:
+        W, f, G, iters = _lbfgs(evaluate, dim, n, m * C, cfg)
+    weights = np.zeros((n, C, d + 1))
+    weights[:, :, : reg.size] = W.T.reshape(n, C, reg.size)
+    norms = np.max(np.abs(G), axis=0).tolist()
+    reports = [SubproblemReport(name, float(f[c]), g, int(iters[c]), g <= cfg.grad_tol)
+               for c, (name, g) in enumerate(zip(names, norms))]
+    return weights, reports
+
+
 def fit_logistic_columns(
     X, T: np.ndarray, cfg: TrainConfig, names: Sequence[str]
 ) -> tuple[np.ndarray, list[SubproblemReport]]:
@@ -643,34 +659,17 @@ def fit_logistic_columns(
     Each column minimizes mean logistic loss + reg_lambda/2 * ||w||^2 over
     w (and the bias) on the shared rows of X.  Returns (n, d+1) weights with
     the bias last (zero when disabled) and one report per column, named by
-    names.  Small problems on dense features share one damped-Newton run
-    (see NEWTON_MAX_DIM); the others run batched L-BFGS in blocks of
-    columns on the row workers.  Either way a column's result does not
-    depend on which other columns are fit with it, nor on the thread count.
+    names.
     """
     X = sparse.csr_matrix(X, dtype=np.float64)
-    m, d = X.shape
-    if m == 0:
-        raise ValueError("cannot train on an empty dataset")
     T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 2 or T.shape[0] != m:
+    if T.ndim != 2 or T.shape[0] != X.shape[0]:
         raise ValueError("one binary target per row is required")
     if not np.all((T == 0.0) | (T == 1.0)):
         raise ValueError("binary targets must be 0 or 1")
-    names = [str(name) for name in names]
-    if len(names) != T.shape[1]:
-        raise ValueError("one name per target column is required")
-    reg = _ridge(d, cfg)
-    n = T.shape[1]
-    evaluate = _logistic_objective(X, T, cfg)
-    if _use_newton(X, reg.size, cfg):
-        W, f, G, iters = _descent(evaluate, _newton_logistic(X, reg, cfg), reg.size, n, cfg)
-    else:
-        W, f, G, iters = _lbfgs(evaluate, reg.size, n, m, cfg)
-    weights = np.zeros((n, d + 1))
-    weights[:, : reg.size] = W.T
-    reports = [_report(name, f[c], G[:, c], iters[c], cfg) for c, name in enumerate(names)]
-    return weights, reports
+    weights, reports = _fit_columns(X, _logistic_objective(X, T, cfg), _newton_logistic, 1,
+                                    T.shape[1], names, cfg)
+    return weights[:, 0], reports
 
 
 def fit_binary_logistic(
@@ -746,8 +745,6 @@ class LinearModel(_RowScorer):
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:
     """Fit one binary logistic model per active coordinate of scfg."""
-    if data.m == 0:
-        raise ValueError("cannot train on an empty dataset")
     if data.s != scfg.s:
         raise ValueError("dataset and surrogate config disagree on the tag count")
     targets = label_stats_matrix(data.bits)[:, scfg.active_flats]
@@ -766,38 +763,28 @@ def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> L
     )
 
 
-@dataclass(frozen=True)
-class MultinomialFit:
-    """Weights of a C-class softmax block: shape (C, d+1), bias last."""
-
-    weights: np.ndarray
-    report: SubproblemReport
-
-
 def train_multinomial(
-    data: Dataset, class_of: Sequence[int], n_classes: int, cfg: TrainConfig, name: str = "multinomial"
-) -> MultinomialFit:
-    """Fit a softmax block: mean cross-entropy + reg_lambda/2 * ||W||^2 (biases free)."""
-    if data.m == 0:
-        raise ValueError("cannot train on an empty dataset")
+    X, classes: np.ndarray, n_classes: int, cfg: TrainConfig, names: Sequence[str]
+) -> tuple[np.ndarray, list[SubproblemReport]]:
+    """Fit one softmax block of C = n_classes rows per column of the (m, n) class matrix.
+
+    Each minimizes mean cross-entropy + reg_lambda/2 * ||W||^2 (biases free).
+    Returns (n, C, d+1) weights and named reports, as fit_logistic_columns does.
+    """
+    X = sparse.csr_matrix(X, dtype=np.float64)
     if n_classes < 2:
         raise ValueError("a multinomial block needs at least two classes")
-    labels = np.asarray(class_of, dtype=np.intp)
-    if labels.shape != (data.m,):
+    classes = np.asarray(classes)
+    if classes.ndim != 2 or classes.shape[0] != X.shape[0]:
         raise ValueError("one class per row is required")
-    if labels.min() < 0 or labels.max() >= n_classes:
+    # a cast would truncate class 0.5 to 0; bool is no integer dtype
+    if not np.issubdtype(classes.dtype, np.integer):
+        raise ValueError("class indices must be integers")
+    if not np.all((classes >= 0) & (classes < n_classes)):
         raise ValueError(f"class indices must lie in 0..{n_classes - 1}")
-    X = data.features
-    reg = _ridge(data.d, cfg)
-    dim = n_classes * reg.size
-    evaluate = _softmax_objective(X, labels, n_classes, cfg)
-    if _use_newton(X, dim, cfg):
-        W, f, G, iters = _descent(evaluate, _newton_softmax(X, n_classes, reg, cfg), dim, 1, cfg)
-    else:
-        W, f, G, iters = _lbfgs(evaluate, dim, 1, data.m, cfg)
-    weights = np.zeros((n_classes, data.d + 1))
-    weights[:, : reg.size] = W.reshape(n_classes, reg.size)
-    return MultinomialFit(weights=weights, report=_report(name, f[0], G, iters[0], cfg))
+    return _fit_columns(X, _softmax_objective(X, classes.astype(np.intp), n_classes, cfg),
+                        partial(_newton_softmax, C=n_classes), n_classes, classes.shape[1],
+                        names, cfg)
 
 
 def multinomial_prob_rows(weights: np.ndarray, X, bias: bool = True) -> np.ndarray:

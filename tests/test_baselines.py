@@ -200,6 +200,15 @@ class TestEfpModel:
                 bias=True, reg_lambda=0.0,
             )
 
+    @pytest.mark.parametrize("counts", [(1.5,), (True,), (1, 2.0)])
+    def test_validation_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            EfpModel(
+                s=2, d=1, beta=B1, counts=counts,
+                weights=np.zeros((1 + 2 * (1 + len(counts)), 2)),
+                bias=True, reg_lambda=0.0,
+            )
+
     def test_validation_rejects_bad_block_shape(self):
         # rows for 3-class blocks, but counts=(1,) makes 2-class blocks: 1 + 2*2 rows
         with pytest.raises(ValueError, match=r"weights must have shape \(5, 2\)"):

@@ -355,6 +355,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             decode_rows(np.zeros((3, 4)), 2, B1)
 
+    def test_rows_reject_no_tags(self):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            decode_rows(np.zeros((3, 1)), 0, B1)
+
     def test_brute_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             decode_brute(np.zeros(4), 2, B1)

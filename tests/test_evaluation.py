@@ -134,6 +134,26 @@ class TestExpectedFQuantities:
         with pytest.raises(ValueError, match=r"\(2, 5\)"):
             mean_expected_f(rows, np.zeros((2, 2), dtype=np.uint8), B1)
 
+    def test_empty_batch_rejected(self):
+        rows, bits = np.zeros((0, 10)), np.zeros((0, 3), dtype=np.uint8)
+        for call in (lambda: bayes_f(rows, 3, B1), lambda: mean_expected_f(rows, bits, B1),
+                     lambda: exact_f_regret(rows, bits, 3, B1)):
+            with pytest.raises(ValueError, match="empty"):
+                call()
+
+    @pytest.mark.parametrize("bad, needle", [
+        (np.nan, "finite"), (np.inf, "finite"), (1.5, r"\[0, 1\]"), (-0.5, r"\[0, 1\]"),
+    ])
+    def test_mean_expected_f_rejects_bad_means_in_the_last_chunk(self, bad, needle, row_workers):
+        s = 6
+        m = 2 * chunk_rows(s) + 1
+        rng = np.random.default_rng(1800)
+        base = np.stack([random_valid_means(s, rng) for _ in range(37)])
+        rows = base[np.arange(m) % 37]
+        rows[-1, 5] = bad
+        with pytest.raises(ValueError, match=needle):
+            mean_expected_f(rows, np.zeros((m, s), dtype=np.uint8), B1)
+
     def test_bayes_f_is_one_on_point_masses(self):
         ys = [LabelVec((1, 0, 1)), LabelVec((0, 0, 0)), LabelVec((1, 1, 1))]
         rows = np.stack([label_stats(y) for y in ys])

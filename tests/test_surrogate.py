@@ -48,6 +48,14 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError):
             SurrogateConfig.for_counts(2, [3], B1)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(1.0)])
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            SurrogateConfig(3, B1, (1, bad))
+
+    def test_accepts_numpy_integer_counts(self):
+        assert SurrogateConfig(3, B1, (np.int64(2), np.uint8(1))).counts == (1, 2)
+
 
 def _count_sets(s: int):
     """Every subset of 1..s, in increasing order."""
@@ -281,3 +289,18 @@ class TestBinaryTargets:
             t = binary_targets(bits, ix)
             want = [label_stats(LabelVec(tuple(row)))[ix.flat(4)] for row in bits]
             np.testing.assert_array_equal(t, want)
+
+    def test_one_column_needs_no_statistic_matrix(self):
+        import tracemalloc
+
+        m, s = 2000, 40
+        bits = np.random.default_rng(24).integers(0, 2, size=(m, s))
+        tracemalloc.start()
+        try:
+            t = binary_targets(bits, StatIndex.pair(3, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(t, (bits[:, 2] == 1) & (bits.sum(axis=1) == 20))
+        # the parent built an (m, s^2+1) float64 matrix: 52 MB here
+        assert peak < m * s * 8

@@ -260,9 +260,9 @@ class TestBinarySolver:
         T = rng.integers(0, 2, size=(m, 3)).astype(float)
         _, reports = fit_logistic_columns(X, T, TrainConfig(max_iters=1), ["a", "b", "c"])
         assert all(not r.converged and r.iterations == 1 for r in reports)
-        data = Dataset(s=1, d=d, features=X, labels=T[:, :1].astype(np.uint8))
-        fit = train_multinomial(data, T[:, 1].astype(int), 2, TrainConfig(max_iters=1))
-        assert not fit.report.converged and fit.report.iterations == 1
+        _, (report,) = train_multinomial(X, T[:, 1:2].astype(int), 2, TrainConfig(max_iters=1),
+                                         ["a"])
+        assert not report.converged and report.iterations == 1
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         import os
@@ -579,19 +579,15 @@ class TestMultinomial:
         m, d, lam = 150, 4, 0.1
         X = rng.normal(size=(m, d))
         a = rng.integers(0, 2, size=m).astype(float)
-        data = Dataset(
-            s=1, d=d, features=sparse.csr_matrix(X),
-            labels=tuple(LabelVec((int(v),)) for v in a),
-        )
-        fit = train_multinomial(
-            data, a.astype(int), 2, TrainConfig(reg_lambda=2 * lam, grad_tol=1e-10)
+        (weights,), _ = train_multinomial(
+            X, a.astype(int)[:, None], 2, TrainConfig(reg_lambda=2 * lam, grad_tol=1e-10), ["tag"]
         )
         wb, _ = fit_binary_logistic(
             sparse.csr_matrix(X), a, TrainConfig(reg_lambda=lam, grad_tol=1e-10)
         )
-        diff = fit.weights[1] - fit.weights[0]
+        diff = weights[1] - weights[0]
         np.testing.assert_allclose(diff, wb, atol=1e-5)
-        p_soft = multinomial_prob_rows(fit.weights, sparse.csr_matrix(X))[:, 1]
+        p_soft = multinomial_prob_rows(weights, sparse.csr_matrix(X))[:, 1]
         np.testing.assert_allclose(p_soft, expit(X @ wb[:d] + wb[d]), atol=1e-5)
 
     def test_probabilities_sum_to_one(self):
@@ -607,13 +603,10 @@ class TestMultinomial:
         m, d, C = 100, 3, 3
         X = rng.normal(size=(m, d))
         y = rng.integers(0, C, size=m)
-        data = Dataset(
-            s=1, d=d, features=sparse.csr_matrix(X),
-            labels=tuple(LabelVec((0,)) for _ in range(m)),
-        )
         lam = 0.05
-        fit = train_multinomial(data, y, C, TrainConfig(reg_lambda=lam, grad_tol=1e-6))
-        W = fit.weights
+        (W,), (report,) = train_multinomial(
+            X, y[:, None], C, TrainConfig(reg_lambda=lam, grad_tol=1e-6), ["tag"]
+        )
         Z = X @ W[:, :d].T + W[:, d]
         P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
         P[np.arange(m), y] -= 1.0
@@ -621,7 +614,7 @@ class TestMultinomial:
         Gw = (X.T @ P).T + lam * W[:, :d]
         Gb = P.sum(axis=0)
         assert max(np.abs(Gw).max(), np.abs(Gb).max()) <= 1e-6 + 1e-12
-        assert fit.report.converged
+        assert report.converged
 
     def test_three_class_bias_matches_newton_oracle(self):
         # biases are free, so the sum of the biases is a flat direction
@@ -629,13 +622,10 @@ class TestMultinomial:
         m, d, C, lam = 150, 4, 3, 0.05
         X = rng.normal(size=(m, d))
         y = rng.integers(0, C, size=m)
-        data = Dataset(
-            s=1, d=d, features=sparse.csr_matrix(X),
-            labels=tuple(LabelVec((0,)) for _ in range(m)),
+        (W,), (report,) = train_multinomial(
+            X, y[:, None], C, TrainConfig(reg_lambda=lam, grad_tol=1e-8), ["tag"]
         )
-        fit = train_multinomial(data, y, C, TrainConfig(reg_lambda=lam, grad_tol=1e-8))
-        assert fit.report.converged
-        W = fit.weights
+        assert report.converged
         Z = X @ W[:, :d].T + W[:, d]
         P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
         R = P.copy()
@@ -653,13 +643,8 @@ class TestMultinomial:
         # the oracle solves in all C x p coordinates with min-norm steps; the
         # solver works in the sum-zero subspace but reports on the full gradient
         m, d = X.shape
-        data = Dataset(
-            s=1, d=d, features=sparse.csr_matrix(X),
-            labels=tuple(LabelVec((0,)) for _ in range(m)),
-        )
-        fit = train_multinomial(data, y, C, cfg)
-        assert fit.report.converged, fit.report
-        W = fit.weights
+        (W,), (report,) = train_multinomial(X, y[:, None], C, cfg, ["tag"])
+        assert report.converged, report
         assert np.abs(W.sum(axis=0)).max() <= 1e-12
         Z = X @ W[:, :d].T + W[:, d]
         P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
@@ -669,7 +654,7 @@ class TestMultinomial:
         G = (X.T @ R).T + cfg.reg_lambda * W[:, :d]
         if cfg.bias:
             G = np.hstack([G, R.sum(axis=0)[:, None]])
-        assert fit.report.grad_norm == pytest.approx(np.abs(G).max(), rel=1e-6, abs=1e-14)
+        assert report.grad_norm == pytest.approx(np.abs(G).max(), rel=1e-6, abs=1e-14)
         ref = newton_multinomial(X, y, C, cfg.reg_lambda, bias=cfg.bias)
         Zr = (np.hstack([X, np.ones((m, 1))]) if cfg.bias else X) @ ref.T
         P_ref = np.exp(Zr - logsumexp(Zr, axis=1)[:, None])
@@ -696,11 +681,40 @@ class TestMultinomial:
         y = rng.integers(0, C, size=m)
         self._check_against_oracle(X, y, C, TrainConfig(reg_lambda=0.05))
 
+    @pytest.mark.parametrize("d", [5, 340])
+    def test_blocks_in_one_call_match_one_block_calls(self, d, row_workers):
+        # d = 5 takes Newton; at d = 340, C*p = 1023 weights run L-BFGS column blocks
+        rng = np.random.default_rng(34)
+        m, C, n = 120, 3, 3
+        assert (C * (d + 1) > NEWTON_MAX_DIM) == (d == 340)
+        X = rng.normal(size=(m, d)) / np.sqrt(d)
+        # planted softmax scales 0, 2 and 8, so the columns leave the active set apart
+        Z = (X @ rng.normal(size=(d, n * C))).reshape(m, n, C) * np.array([0.0, 2.0, 8.0])[:, None]
+        classes = (Z + rng.gumbel(size=Z.shape)).argmax(axis=2)
+        X = sparse.csr_matrix(X)
+        cfg = TrainConfig(reg_lambda=0.01)
+        names = [f"tag {j}" for j in range(1, n + 1)]
+        weights, reports = train_multinomial(X, classes, C, cfg, names)
+        assert weights.shape == (n, C, d + 1)
+        for c in range(n):
+            (w,), (report,) = train_multinomial(X, classes[:, c:c + 1], C, cfg, [names[c]])
+            np.testing.assert_array_equal(weights[c], w)
+            assert reports[c] == report and report.converged
+
     def test_rejects_bad_class_indices(self):
         rng = np.random.default_rng(4)
         data = _random_dataset(rng, m=10, s=2, d=3)
         with pytest.raises(ValueError, match="class indices"):
-            train_multinomial(data, [0, 1, 2, 0, 1, 2, 0, 1, 2, 5], 3, TrainConfig())
+            train_multinomial(data.features, np.array([[0, 1, 2, 0, 1, 2, 0, 1, 2, 5]]).T, 3,
+                              TrainConfig(), ["tag"])
+
+    @pytest.mark.parametrize("classes", [
+        [0, 1, 0, 0.5], [0, 1, 0, 1.0], [False, True, False, True],
+    ])
+    def test_rejects_non_integer_classes(self, classes):
+        # a cast would train class 0.5 as class 0 and report it converged
+        with pytest.raises(ValueError, match="class indices must be integers"):
+            train_multinomial(np.eye(4), np.array(classes)[:, None], 2, TrainConfig(), ["tag"])
 
     def test_above_cutoff_block_matches_newton_oracle(self):
         # C*p weights exceed the cutoff, so this block runs batched L-BFGS
@@ -711,13 +725,8 @@ class TestMultinomial:
         Z = X @ rng.normal(size=(d, C)) * 2.0
         y = (np.cumsum(np.exp(Z) / np.exp(Z).sum(axis=1, keepdims=True), axis=1)
              < rng.random((m, 1))).sum(axis=1)
-        data = Dataset(
-            s=1, d=d, features=sparse.csr_matrix(X),
-            labels=tuple(LabelVec((0,)) for _ in range(m)),
-        )
-        fit = train_multinomial(data, y, C, TrainConfig(reg_lambda=lam))
-        assert fit.report.converged, fit.report
-        W = fit.weights
+        (W,), (report,) = train_multinomial(X, y[:, None], C, TrainConfig(reg_lambda=lam), ["tag"])
+        assert report.converged, report
         Z = X @ W[:, :d].T + W[:, d]
         P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
         ref = newton_multinomial(X, y, C, lam)
