@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .fmeasure import BetaParam
+from .losses import sigmoid_into
 from .surrogate import SurrogateConfig
 from .training import (
     Dataset,
@@ -66,7 +66,7 @@ class EfpModel(_RowScorer):
     def _means(self, scores: np.ndarray, out: np.ndarray) -> None:
         s, n = self.s, len(scores)
         out.fill(0.0)
-        out[:, 0] = expit(scores[:, 0])
+        sigmoid_into(scores[:, 0], out=out[:, 0])
         # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]
         ks = np.asarray(self.counts, dtype=np.intp) - 1
         probs = _shifted_softmax(scores[:, 1:].reshape(n, s, 1 + len(ks)))[0]

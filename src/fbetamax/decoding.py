@@ -185,11 +185,17 @@ def _decode_piece(chunk: np.ndarray, s: int, coeffs: np.ndarray) -> tuple[np.nda
     tags = np.arange(s)
     # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
     T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
-    # entry l-1 of row l-1 after the cumsum holds the optimum over labelings of size l
+    # the optimum over labelings of size l is the sum of the l smallest
+    # entries of row l-1: only those s prefix sums are added, in the order
+    # np.cumsum along each row would add them, so they match it bit for bit
     best_by_size = np.sort(T, axis=2)
-    np.cumsum(best_by_size, axis=2, out=best_by_size)
-    objs = np.concatenate([-chunk[:, :1], best_by_size[:, tags, tags]], axis=1)
-    # freed before the piece ranks tags: at most three (n, s, s) arrays live
+    objs = np.empty((n, s + 1))
+    objs[:, 0] = -chunk[:, 0]
+    prefix = objs[:, 1:]
+    prefix[:] = best_by_size[:, :, 0]
+    for j in range(1, s):
+        prefix[:, j:] += best_by_size[:, j:, j]
+    # freed before the piece ranks tags: at most two (n, s, s) arrays live
     del best_by_size
     # argmax takes the first True, i.e. the smallest size among the ties
     choice = np.argmax(_near_min(objs), axis=1)

@@ -9,7 +9,6 @@ STRONG_PROPERNESS sets the regret transfer bound.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "PROB_CLIP",
@@ -19,6 +18,7 @@ __all__ = [
     "logit_link",
     "pointwise_binary_regret",
     "sigmoid",
+    "sigmoid_into",
 ]
 
 # probabilities are clipped into [PROB_CLIP, 1 - PROB_CLIP] before the link
@@ -53,13 +53,37 @@ def logistic_loss(y, u):
 def logistic_gradient(y, u):
     """d/du of logistic_loss: -y * sigmoid(-y*u)."""
     y, u = _check_margin_inputs(y, u)
-    val = -y * expit(-y * u)
+    val = -y * sigmoid_into(-y * u)
     return val.item() if val.ndim == 0 else val
 
 
+def sigmoid_into(u, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-u)) elementwise, written into out (a new float64 array if None).
+
+    The one logistic link of the package: model means, solver residuals
+    and Newton curvatures all go through it.  out may be u itself.  exp(-u)
+    overflows to inf below u = -709.78 without a warning, which gives
+    exactly 0; NaN stays NaN.  It is scipy's expit formula on numpy's exp,
+    which is much faster where numpy has an AVX-512 kernel but may differ
+    there from the C library's exp, and so from expit, by a few ULP.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(u)
+    np.negative(u, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(u):
-    """Inverse of the logit link: 1 / (1 + exp(-u)), computed stably."""
-    val = expit(np.asarray(u, dtype=np.float64))
+    """Inverse of the logit link: 1 / (1 + exp(-u)), a float for scalar input.
+
+    Through sigmoid_into, so a large negative u gives exactly 0 and a
+    large positive one exactly 1, with no overflow warning.
+    """
+    val = sigmoid_into(u)
     return val.item() if val.ndim == 0 else val
 
 

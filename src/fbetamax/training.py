@@ -28,11 +28,11 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit
 
 from . import decoding
 from .decoding import _coeff_table, _decode_piece, _map_rows, _run_slices, _slices
 from .fmeasure import BetaParam, StatIndex, label_stats_matrix
+from .losses import sigmoid_into
 from .surrogate import SurrogateConfig, coordinates
 
 __all__ = [
@@ -389,7 +389,7 @@ def _logistic_objective(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
         loss = np.maximum(Z, 0.0)
         loss -= targets * Z
         loss += np.log1p(np.exp(-np.abs(Z)))
-        R = expit(Z)
+        R = sigmoid_into(Z)
         R -= targets
         R /= m
         f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
@@ -460,7 +460,7 @@ def _newton_logistic(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig):
     diag = np.diag_indices(p)
 
     def solve(w, g):
-        P = expit(dense @ w)
+        P = sigmoid_into(dense @ w)
         root = dense * np.sqrt(P * (1.0 - P) / m)[:, None]
         H = root.T @ root
         H[diag] += reg
@@ -732,10 +732,10 @@ class LinearModel(_RowScorer):
         s, counts = self.s, self.counts
         # a full count set's coordinates are the whole layout in order
         if len(counts) == s:
-            expit(scores, out=out)
+            sigmoid_into(scores, out=out)
             return
         n = len(scores)
-        expit(scores, out=scores)
+        sigmoid_into(scores, out=scores)
         out.fill(0.0)
         out[:, 0] = scores[:, 0]
         # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.special import expit
 
 from fbetamax import training
 from fbetamax.baselines import BrModel, EfpModel, train_br, train_efp
 from fbetamax.dataio import load_model, save_model
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
+from fbetamax.losses import sigmoid_into
 from fbetamax.surrogate import coordinates
 from fbetamax.training import Dataset, TrainConfig, multinomial_prob_rows
 
@@ -118,7 +118,7 @@ class TestEfpModel:
         # one-shot assembly over all rows; every row's arithmetic is its own
         W = model.weights
         expected = np.zeros((X_all.shape[0], s * s + 1))
-        expected[:, 0] = expit(X_all @ W[0, :d] + W[0, d])
+        expected[:, 0] = sigmoid_into(X_all @ W[0, :d] + W[0, d])
         for j in range(1, s + 1):
             probs = multinomial_prob_rows(W[1 + (j - 1) * C:1 + j * C], X_all)
             for col, k in enumerate(counts, start=1):
@@ -160,7 +160,7 @@ class TestEfpModel:
                               random_state=np.random.RandomState(s))
         W = model.weights
         expected = np.zeros((X_all.shape[0], s * s + 1))
-        expected[:, 0] = expit(X_all @ W[0, :d] + W[0, d])
+        expected[:, 0] = sigmoid_into(X_all @ W[0, :d] + W[0, d])
         for j in range(1, s + 1):
             probs = multinomial_prob_rows(W[1 + (j - 1) * C:1 + j * C], X_all)
             expected[:, [StatIndex.pair(j, k).flat(s) for k in counts]] = probs[:, 1:]
@@ -186,7 +186,7 @@ class TestEfpModel:
         scores = model.score_rows(X)
         m = X.shape[0]
         expected = np.zeros((m, s * s + 1))
-        expected[:, 0] = expit(scores[:, 0])
+        expected[:, 0] = sigmoid_into(scores[:, 0])
         probs = training._shifted_softmax(scores[:, 1:].reshape(m, s, 1 + len(counts)))[0]
         expected[:, coordinates(s, counts)[1][1:]] = probs[:, :, 1:].reshape(m, -1)
         for n in (1, c, m):

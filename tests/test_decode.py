@@ -213,6 +213,38 @@ class TestChunkBoundaries:
             np.testing.assert_array_equal(bits, brute[cycle])
 
 
+def cumsum_decode(P: np.ndarray, s: int, beta: BetaParam) -> tuple[np.ndarray, np.ndarray]:
+    """decode_rows with every prefix sum of the sorted per-size scores, from np.cumsum."""
+    n = P.shape[0]
+    tags = np.arange(s)
+    T = np.ascontiguousarray(
+        (P[:, 1:].reshape(n, s, s) @ decoding._coeff_table(s, beta)).transpose(0, 2, 1))
+    prefix = np.cumsum(np.sort(T, axis=2), axis=2)
+    objs = np.concatenate([-P[:, :1], prefix[:, tags, tags]], axis=1)
+    best = objs.min(axis=1, keepdims=True)
+    choice = np.argmax(objs <= best + decoding.TIE_RTOL * np.abs(best), axis=1)
+    order = np.argsort(T[np.arange(n), np.maximum(choice, 1) - 1], axis=1, kind="stable")
+    bits = np.zeros((n, s), dtype=np.uint8)
+    np.put_along_axis(bits, order, (tags[None, :] < choice[:, None]).astype(np.uint8), axis=1)
+    return bits, objs[np.arange(n), choice]
+
+
+class TestPrefixSums:
+    @pytest.mark.parametrize("s", [1, 2, 6, 50])
+    @pytest.mark.parametrize("beta", BETAS, ids=lambda b: f"beta{b.beta:g}")
+    @pytest.mark.parametrize("row_workers", [1, 2], indirect=True)
+    def test_bits_and_objectives_match_a_full_cumsum(self, s, beta, row_workers):
+        rng = np.random.default_rng(1700 + s)
+        base = np.stack([random_valid_means(s, rng) for _ in range(CYCLE)]
+                        + [tie_heavy_means(s, rng) for _ in range(CYCLE)])
+        # past one chunk at s = 6 and 50, so two workers decode it in pieces
+        P = base[np.arange(min(chunk_rows(s) + 1, 30000)) % len(base)]
+        bits, objs = decode_rows(P, s, beta)
+        ref_bits, ref_objs = cumsum_decode(P, s, beta)
+        np.testing.assert_array_equal(bits, ref_bits)
+        assert objs.tobytes() == ref_objs.tobytes()
+
+
 def run_script(body: str) -> str:
     """Run a Python script in a fresh interpreter, on this fbetamax; return its standard output."""
     src = str(Path(decoding.__file__).resolve().parents[1])

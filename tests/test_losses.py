@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+import fbetamax
 from fbetamax.losses import (
     PROB_CLIP,
     STRONG_PROPERNESS,
@@ -15,6 +23,7 @@ from fbetamax.losses import (
     logit_link,
     pointwise_binary_regret,
     sigmoid,
+    sigmoid_into,
 )
 
 # mpmath, 30 digits
@@ -82,6 +91,69 @@ class TestLinkPair:
             u = logit_link(q)
             grad = q * logistic_gradient(1, u) + (1 - q) * logistic_gradient(-1, u)
             assert grad == pytest.approx(0.0, abs=1e-12)
+
+
+def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Units in the last place between equal-shaped arrays of non-negative floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestSigmoidInto:
+    """The package's one logistic link, with scipy's expit as the oracle.
+
+    Where numpy runs its AVX-512 exp the two may differ by a few ULP; with
+    its other exp kernels they agree exactly.  CI reruns this class with
+    numpy's SIMD kernels switched off, so both paths are checked.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 700.0])
+    def test_within_4_ulp_of_expit_on_random_scores(self, scale):
+        u = np.random.default_rng(int(scale)).normal(scale=scale, size=200_000)
+        assert ulps_apart(sigmoid_into(u), expit(u)).max() <= 4
+
+    def test_within_4_ulp_of_expit_on_a_grid(self):
+        # every float between the two saturation points, 1e-3 apart
+        u = np.arange(-750_000, 750_001) / 1000.0
+        assert ulps_apart(sigmoid_into(u), expit(u)).max() <= 4
+
+    def test_exact_values(self):
+        got = sigmoid_into(np.array([-800.0, 0.0, 800.0]))
+        assert got.tolist() == [0.0, 0.5, 1.0]
+
+    def test_non_finite_and_0d_inputs_match_expit_without_warnings(self):
+        u = np.array([np.nan, np.inf, -np.inf, -1e308, 1e308, -745.5, 0.0, -0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(sigmoid_into(u), expit(u))
+            for x in u:
+                got = sigmoid_into(x)
+                assert got.shape == ()
+                np.testing.assert_array_equal(got, expit(x))
+                np.testing.assert_array_equal(sigmoid(x), expit(x))
+
+    def test_out_in_place_and_aliased(self):
+        u = np.random.default_rng(3).normal(scale=30.0, size=(50, 7))
+        fresh = sigmoid_into(u)
+        assert ulps_apart(fresh, expit(u)).max() <= 4
+        out = np.full_like(u, np.nan)
+        assert sigmoid_into(u, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        alias = u.copy()
+        assert sigmoid_into(alias, out=alias) is alias
+        np.testing.assert_array_equal(alias, fresh)
+        # a strided column of a wider table, as a model writes its first column
+        table = np.zeros((50, 3))
+        sigmoid_into(u[:, 2], out=table[:, 1])
+        np.testing.assert_array_equal(table[:, 1], fresh[:, 2])
+        assert not table[:, [0, 2]].any()
+
+    def test_package_import_leaves_scipy_special_out(self):
+        src = str(Path(fbetamax.__file__).resolve().parents[1])
+        script = "import sys, fbetamax; print('scipy.special' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestPointwiseRegret:

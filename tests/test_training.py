@@ -10,6 +10,7 @@ from scipy.special import expit, logsumexp
 from fbetamax import decoding, training
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
+from fbetamax.losses import sigmoid_into
 from fbetamax.surrogate import SurrogateConfig, binary_targets
 from fbetamax.training import (
     NEWTON_MAX_DIM,
@@ -494,7 +495,7 @@ class TestLinearModelPrediction:
         for m in (0, 1, c - 1, c, c + 1, 2 * c + 1):
             X = X_all[:m]
             expected = np.zeros((m, s * s + 1))
-            expected[:, scfg.active_flats] = expit(X @ W[:, :d].T + W[:, d])
+            expected[:, scfg.active_flats] = sigmoid_into(X @ W[:, :d].T + W[:, d])
             probs = model.stat_prob_rows(X)
             np.testing.assert_array_equal(probs, expected)
             np.testing.assert_array_equal(model.score_rows(X), X @ W[:, :d].T + W[:, d])
@@ -517,7 +518,7 @@ class TestLinearModelPrediction:
         # every row's product and link are its own, so one product covers all sizes
         scores = X_all @ W[:, :d].T + W[:, d]
         expected = np.zeros((X_all.shape[0], s * s + 1))
-        expected[:, scfg.active_flats] = expit(scores)
+        expected[:, scfg.active_flats] = sigmoid_into(scores)
         for m in (c - 1, c, c + 1, 2 * c + 1):
             X = X_all[:m]
             np.testing.assert_array_equal(model.stat_prob_rows(X), expected[:m])
