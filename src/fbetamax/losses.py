@@ -64,8 +64,9 @@ def sigmoid_into(u, out: np.ndarray | None = None) -> np.ndarray:
     and Newton curvatures all go through it.  out may be u itself.  exp(-u)
     overflows to inf below u = -709.78 without a warning, which gives
     exactly 0; NaN stays NaN.  It is scipy's expit formula on numpy's exp,
-    which is much faster where numpy has an AVX-512 kernel but may differ
-    there from the C library's exp, and so from expit, by a few ULP.
+    which is much faster where numpy has an AVX-512 kernel; there it may
+    differ from the C library's exp by one ULP, and so from expit by up
+    to 4 ULP.
     """
     u = np.asarray(u, dtype=np.float64)
     if out is None:
