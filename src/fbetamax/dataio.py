@@ -447,7 +447,8 @@ def load_model(path, expected_algo: str | None = None):
             # after a bad row, only count the rest: a wrong row count is reported first
             if error is None and found < len(rows):
                 try:
-                    row = np.fromiter(map(float, line.split(" ")), dtype=np.float64)
+                    # numpy's str-to-float64 cast accepts and rounds as float() does
+                    row = np.array(line.split(" "), dtype=np.float64)
                 except ValueError:
                     error = "bad float in model body"
                 else:

@@ -147,7 +147,8 @@ def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaPara
     def piece(rows: slice) -> None:
         _check_means(prob_rows[rows])
         coeffs = _loss_coeffs_rows(pred_bits[rows], beta)
-        per_point[rows] = -np.sum(prob_rows[rows] * coeffs, axis=1)
+        coeffs *= prob_rows[rows]
+        per_point[rows] = -np.sum(coeffs, axis=1)
 
     _map_rows(piece, m, s)
     return float(np.mean(per_point))

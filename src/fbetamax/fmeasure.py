@@ -265,17 +265,21 @@ def labelvec_rows(bits: np.ndarray) -> list[LabelVec]:
 
 
 def label_stats_matrix(bits: np.ndarray) -> np.ndarray:
-    """Row-wise label_stats for an (m, s) bit matrix, as an (m, s^2+1) array."""
+    """Row-wise label_stats for an (m, s) bit matrix, as an (m, s^2+1) array.
+
+    Beside the output, only an (m, s) count-match table is allocated.
+    """
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError("expected a 2-d bit matrix")
     m, s = bits.shape
     counts = bits.sum(axis=1)
-    out = np.zeros((m, s * s + 1))
+    out = np.empty((m, s * s + 1))
     out[:, 0] = counts == 0
-    active = bits.astype(np.float64)[:, :, None]
-    count_match = (counts[:, None, None] == np.arange(1, s + 1)[None, None, :])
-    out[:, 1:] = (active * count_match).reshape(m, s * s)
+    # slot (j, k) is y_j * [|y| == k]: each row's block is the outer product of
+    # its bits with one count-match row, written straight into the output
+    match = counts[:, None] == np.arange(1, s + 1)
+    np.multiply(bits[:, :, None], match[:, None, :], out=_pair_block(out, m, s))
     return out
 
 
@@ -288,14 +292,25 @@ def loss_coeffs_matrix(bits: np.ndarray, beta: BetaParam) -> np.ndarray:
 
 
 def _loss_coeffs_rows(bits: np.ndarray, beta: BetaParam) -> np.ndarray:
-    """loss_coeffs_matrix for a checked 2-d bit array; each row's arithmetic is its own."""
+    """loss_coeffs_matrix for a checked 2-d bit array; each row's arithmetic is its own.
+
+    Beside the output, only an (m, s) table of per-count scales is allocated.
+    """
     m, s = bits.shape
     counts = bits.sum(axis=1).astype(np.float64)
-    out = np.zeros((m, s * s + 1))
+    out = np.empty((m, s * s + 1))
     out[:, 0] = np.where(counts == 0, -1.0, 0.0)
-    ks = np.arange(1, s + 1, dtype=np.float64)
-    # denominator beta^2 * k + |yhat| stays positive even for empty rows
-    denom = beta.beta_sq * ks[None, None, :] + counts[:, None, None]
-    pair = -(1.0 + beta.beta_sq) * bits.astype(np.float64)[:, :, None] / denom
-    out[:, 1:] = pair.reshape(m, s * s)
+    # scale[i, k-1] = -(1 + beta^2) / (beta^2 * k + |yhat_i|); the denominator
+    # stays positive even for empty rows
+    scale = beta.beta_sq * np.arange(1, s + 1, dtype=np.float64) + counts[:, None]
+    np.divide(-(1.0 + beta.beta_sq), scale, out=scale)
+    # slot (j, k) is yhat_j * scale[k]: 1 * scale is the scale itself, and
+    # 0 * scale is -0.0, as the quotient -(1 + beta^2) * 0 / denom is
+    np.multiply(bits[:, :, None], scale[:, None, :], out=_pair_block(out, m, s))
     return out
+
+
+def _pair_block(out: np.ndarray, m: int, s: int) -> np.ndarray:
+    """The (m, s, s) pair slots of an (m, s^2+1) table, as a view that writes through."""
+    # splitting the contiguous last axis never needs a copy
+    return out[:, 1:].reshape(m, s, s)

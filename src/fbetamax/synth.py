@@ -250,13 +250,14 @@ def _sample_rows(dist: SynthDistribution, start: int, stop: int, stream: int):
     whole block.  q and the features are stacked matrix-vector products:
     matmul runs each stacked element through the kernel of A @ v, so every
     row rounds as its own product would, where one matrix product over
-    the block would not.
+    the block would not.  The Gamma components are drawn straight into
+    their row of P, the same draws without a temporary per point.
     """
     n = stop - start
     P = np.empty((n, dist.n_outcomes))
     u = np.empty(n)
     for r, rng in enumerate(_point_rngs(dist, start, stop, stream)):
-        P[r] = rng.standard_gamma(dist.concentration)
+        rng.standard_gamma(dist.concentration, out=P[r])
         u[r] = rng.random()
     P /= P.sum(axis=1, keepdims=True)
     Q = np.matmul(dist.support_stats.T, P[:, :, None])[:, :, 0]

@@ -370,6 +370,28 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match=message):
             load_model(p)
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "\u0661", "1.5\r", "nan", "infinity", "1e400", "0x10", "1e", "--1", "",
+         "nan(123)", "\t1", "1\x0b", "-0", "5e-324", "2.4e-324", "1.7976931348623157e308"],
+    )
+    def test_body_parse_agrees_with_float(self, tmp_path, token):
+        line = f"0.5 {token} -1"
+        p = tmp_path / "m.txt"
+        _write(p, "#ml-model v1\nalgo=br\ns=1\nd=2\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+                  f"vectors=1\n{line}\n")
+        try:
+            want = np.array([[float(tok) for tok in line.split(" ")]])
+        except ValueError:
+            with pytest.raises(DataFormatError, match="^bad float in model body$"):
+                load_model(p)
+            return
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(ValueError, match="^model weights must be finite$"):
+                load_model(p)
+            return
+        assert load_model(p).weights.tobytes() == want.tobytes()
+
     def test_body_too_large_to_allocate_is_a_format_error(self, tmp_path):
         # a corrupt d must not escape as MemoryError; 8 PB exceeds any address space
         p = tmp_path / "m.txt"

@@ -207,6 +207,60 @@ class TestStatisticVectors:
                 assert np.all(norms <= cap + 1e-12)
 
 
+def _stacked(rows: np.ndarray, per_row) -> np.ndarray:
+    return np.array([per_row(LabelVec(tuple(row))) for row in rows.tolist()]).reshape(
+        len(rows), rows.shape[1] ** 2 + 1)
+
+
+def _grid_bits(s: int, density: float, dtype, seed: int) -> np.ndarray:
+    """30 random rows at the given tag density, then an empty and an all-ones row."""
+    rows = np.random.default_rng(seed).random((30, s)) < density
+    return np.vstack([rows, np.zeros((1, s), bool), np.ones((1, s), bool)]).astype(dtype)
+
+
+class TestMatrixTables:
+    """The batched tables against the per-labeling definitions, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("s", [1, 2, 3, 6, 13, 50])
+    def test_coefficient_tables_match_stacked_rows_byte_for_byte(self, s, density, dtype):
+        bits = _grid_bits(s, density, dtype, seed=s)
+        stats = label_stats_matrix(bits)
+        assert stats.dtype == np.float64
+        assert stats.tobytes() == _stacked(bits, label_stats).tobytes()
+        for beta in BETAS:
+            coeffs = loss_coeffs_matrix(bits, beta)
+            want = _stacked(bits, lambda y: loss_coeffs(y, beta))
+            # an inactive tag's pair slots hold -0.0, the sign of
+            # -(1 + beta^2) * 0 / (beta^2 k + |yhat|); loss_coeffs leaves them +0.0
+            want[:, 1:] = -np.abs(want[:, 1:])
+            assert coeffs.dtype == np.float64
+            assert coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_no_rows_give_empty_tables(self, s):
+        bits = np.zeros((0, s), np.uint8)
+        assert label_stats_matrix(bits).shape == (0, s * s + 1)
+        assert loss_coeffs_matrix(bits, BetaParam(1.0)).shape == (0, s * s + 1)
+
+    @pytest.mark.parametrize("table", [label_stats_matrix,
+                                       lambda bits: loss_coeffs_matrix(bits, BetaParam(1.0))],
+                             ids=["label_stats", "loss_coeffs"])
+    def test_peak_memory_is_the_output_and_an_m_by_s_table(self, table):
+        import tracemalloc
+
+        bits = (np.random.default_rng(25).random((4000, 50)) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            out = table(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an (m, s, s) temporary beside the 80 MB output would put this near 2
+        assert peak < 1.25 * out.nbytes
+
+
 class TestExpectedFbeta:
     def test_uniform_example(self):
         # uniform p over {0,1}^2, prediction (1,1): mean F1 is 7/12
