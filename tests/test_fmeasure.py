@@ -208,8 +208,7 @@ class TestStatisticVectors:
 
 
 def _stacked(rows: np.ndarray, per_row) -> np.ndarray:
-    return np.array([per_row(LabelVec(tuple(row))) for row in rows.tolist()]).reshape(
-        len(rows), rows.shape[1] ** 2 + 1)
+    return np.array([per_row(LabelVec(tuple(row))) for row in rows.tolist()])
 
 
 def _grid_bits(s: int, density: float, dtype, seed: int) -> np.ndarray:
