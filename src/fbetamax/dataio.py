@@ -424,7 +424,7 @@ def load_model(path, expected_algo: str | None = None):
 
     The body is read line by line into the model's preallocated weight
     matrix, so the text of the file is never held whole.  Blank lines are
-    skipped.
+    skipped; a non-finite weight is rejected naming its line.
     """
     with _open_lines(path) as fh:
         fields = _parse_model_header([fh.readline().rstrip("\n") for _ in range(9)])
@@ -440,7 +440,8 @@ def load_model(path, expected_algo: str | None = None):
             raise DataFormatError(f"lines 4 and 9: {fields['vectors']} weight vectors of "
                                   f"{width} entries do not fit in memory") from None
         found, error = 0, None
-        for line in fh:
+        # the header takes lines 1-9
+        for lineno, line in enumerate(fh, start=10):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -452,10 +453,13 @@ def load_model(path, expected_algo: str | None = None):
                 except ValueError:
                     error = "bad float in model body"
                 else:
-                    if row.size == width:
-                        rows[found] = row
-                    else:
+                    if row.size != width:
                         error = f"weight vectors must have {width} entries"
+                    elif not np.all(np.isfinite(row)):
+                        # nan, inf and overflowing tokens such as 1e400 parse
+                        error = f"line {lineno}: model weights must be finite"
+                    else:
+                        rows[found] = row
             found += 1
     if found != len(rows):
         raise DataFormatError(

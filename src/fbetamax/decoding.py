@@ -91,8 +91,8 @@ def _usable_cpus() -> int:
 # a batch of more than one chunk runs in pieces of a quarter chunk, on one
 # thread per CPU this process may run on (taskset limits them) but at most
 # one per piece of a chunk, so the threads together hold one chunk's
-# temporaries.  training._lbfgs runs its column blocks on the same threads,
-# sizing them so that they together keep its memory budget.
+# temporaries.  training._fit_columns runs its L-BFGS column blocks on the
+# same threads, sizing them so that they together keep its memory budget.
 _PIECES_PER_CHUNK = 4
 _WORKERS = min(_PIECES_PER_CHUNK, _usable_cpus())
 _POOL: ThreadPoolExecutor | None = None
@@ -124,8 +124,9 @@ def _run_slices(piece: Callable[[slice], None], slices: list[slice]) -> None:
     This thread and up to _WORKERS - 1 pool threads take the slices, so
     at most min(_WORKERS, len(slices)) pieces run at once; with one worker
     or one slice every piece runs on this thread.  It runs the row pieces
-    of _map_rows and the column blocks of training._lbfgs.  A piece must
-    write only its own part, call no public function and not use the pool.
+    of _map_rows and the L-BFGS column blocks of training._fit_columns.  A
+    piece must write only its own part, call no public function and not
+    use the pool.
     After a failure no new piece starts, and the exception of the first
     failing slice in list order is raised, as a serial pass would raise it.
     """

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .decoding import _check_means, _map_rows, decode_rows
+from .decoding import CHUNK_ENTRIES, _check_means, _map_rows, _slices, decode_rows
 from .fmeasure import BetaParam, LabelVec, _loss_coeffs_rows
 from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
@@ -28,6 +29,11 @@ __all__ = [
 
 # eight log-spaced ridge strengths, one per decade
 DEFAULT_REG_GRID = tuple(10.0 ** e for e in range(-4, 4))
+
+# (rows, n) float arrays that one row block of surrogate_regret_estimate
+# keeps alive at once: its scores, its means at the n active coordinates,
+# and the eight temporaries of pointwise_binary_regret
+_REGRET_ARRAYS = 10
 
 
 @dataclass(frozen=True)
@@ -173,14 +179,25 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
 
     The model supplies scores at its active coordinates; the true means at
     those coordinates come from prob_rows.  This is the plug-in estimate of
-    the surrogate risk gap that feeds the regret transfer bound.
+    the surrogate risk gap that feeds the regret transfer bound.  Rows are
+    scored and summed one block at a time on this thread, each block's
+    (rows, n) arrays together about CHUNK_ENTRIES entries, so memory does
+    not grow with m.  X is any feature matrix that rows can be sliced from.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
-    scores = model.score_rows(X)
-    q_active = prob_rows[:, model.active_flats]
-    if scores.shape != q_active.shape:
+    flats = model.active_flats
+    m = len(prob_rows)
+    if X.shape[0] != m:
         raise ValueError("score and mean shapes differ")
-    per_point = pointwise_binary_regret(q_active, scores).sum(axis=1)
+    if sparse.issparse(X):
+        X = X.tocsr()
+    per_point = np.empty(m)
+    for rows in _slices(m, max(1, CHUNK_ENTRIES // (_REGRET_ARRAYS * len(flats)))):
+        scores = model.score_rows(X[rows])
+        q_active = prob_rows[rows, flats]
+        if scores.shape != q_active.shape:
+            raise ValueError("score and mean shapes differ")
+        per_point[rows] = pointwise_binary_regret(q_active, scores).sum(axis=1)
     return float(np.mean(per_point))
 
 

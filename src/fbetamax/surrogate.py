@@ -138,7 +138,21 @@ def binary_targets(data, index: StatIndex) -> np.ndarray:
     bits = np.asarray(getattr(data, "bits", data))
     if bits.ndim != 2:
         raise ValueError("expected a 2-d bit matrix")
-    index.flat(bits.shape[1])  # rejects a coordinate outside the layout
-    counts = bits.sum(axis=1)
-    hit = counts == 0 if index.is_zero else (bits[:, index.j - 1] == 1) & (counts == index.k)
-    return hit.astype(np.uint8)
+    # index.flat rejects a coordinate outside the layout
+    flats = np.array([index.flat(bits.shape[1])])
+    return _coordinate_targets(bits, bits.sum(axis=1), flats)[:, 0].astype(np.uint8)
+
+
+def _coordinate_targets(bits: np.ndarray, counts: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """(m, len(flats)) bool values of the statistic coordinates at flats.
+
+    These are label_stats_matrix(bits)[:, flats], with counts =
+    bits.sum(axis=1): a pair slot (j, k) holds bits[:, j] * [count == k]
+    and the zero slot [count == 0], so no (m, s^2+1) table is built.
+    """
+    # flat 1 + (j-1)*s + (k-1); the zero slot's column is overwritten below
+    tags, ks = np.divmod(flats - 1, bits.shape[1])
+    T = bits[:, tags] == 1
+    T &= counts[:, None] == ks + 1
+    T[:, flats == 0] = (counts == 0)[:, None]
+    return T

@@ -8,13 +8,15 @@ one train_multinomial call.  Both go through one solver dispatch
 _softmax_objective): values and analytic gradients of any set of columns
 from one sparse product with X and one with its transpose, the bias being
 its own weight row.  Solvers differ only in the direction they feed to
-_descent, the shared per-column Armijo search and active set.  Small
+_descent, the shared per-column Armijo search and active set.  Both run
+over blocks of columns that fit LBFGS_BLOCK_ENTRIES, each block with its
+own targets, so memory does not grow with the number of columns.  Small
 problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) take
-damped Newton directions, one Cholesky solve per column and iteration;
-the rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45,
-1989) in blocks of columns, which run at once on the row worker threads
-(decoding._run_slices) and together fit LBFGS_BLOCK_ENTRIES.  A column's
-result does not depend on its batch or on the number of threads.
+damped Newton directions, one Cholesky solve per column and iteration,
+one block after another; the rest take batched L-BFGS directions (Liu &
+Nocedal, Math. Prog. 45, 1989), their blocks at once on the row worker
+threads (decoding._run_slices).  A column's result does not depend on its
+block or on the number of threads.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import decoding
 from .decoding import _coeff_table, _decode_piece, _map_rows, _run_slices, _slices
-from .fmeasure import BetaParam, StatIndex, label_stats_matrix
+from .fmeasure import BetaParam, StatIndex
 from .losses import sigmoid_into
-from .surrogate import SurrogateConfig, coordinates
+from .surrogate import SurrogateConfig, _coordinate_targets, coordinates
 
 __all__ = [
     "Dataset",
@@ -185,8 +187,16 @@ class _RowScorer:
 
     @cached_property
     def _feature_weights(self) -> np.ndarray:
-        """(d, rows) contiguous copy of the non-bias weights, for X @ W."""
-        return np.ascontiguousarray(self.weights[:, : self.d].T)
+        """(d, rows) contiguous copy of the non-bias weights, for X @ W.
+
+        Copied 128 weight rows at a time: a whole strided transpose misses
+        the cache on every read, 3-5x slower at (2501, 1001) weights.
+        """
+        W, d = self.weights, self.d
+        out = np.empty((d, len(W)))
+        for rows in _slices(len(W), 128):
+            out[:, rows] = W[rows, :d].T
+        return out
 
     @cached_property
     def _biases(self) -> np.ndarray:
@@ -282,11 +292,17 @@ class _RowScorer:
 NEWTON_MAX_DIM = 1000
 NEWTON_MIN_DENSITY = 0.5
 
-# The L-BFGS blocks that run at once, one per worker thread, together hold
-# about this many history and row entries: 2*_MEMORY*C*p history plus m*C
-# row temporaries per column of C weight rows (C = 1 for a binary column),
-# so the block width, not the number of columns or threads, bounds memory.
+# The column blocks that run at once together hold about this many entries.
+# Per column of C weight rows (C = 1 for a binary column) that is the
+# _ROW_ARRAYS (m, C) arrays its evaluation keeps alive, plus 2*_MEMORY*C*p
+# history under L-BFGS.  Newton blocks run one at a time, L-BFGS blocks one
+# per worker thread, so the block width, not the number of columns, rows or
+# threads, bounds memory.
 LBFGS_BLOCK_ENTRIES = 1 << 20
+# (m, C) arrays per column alive at once in one evaluation: the logistic
+# scores, losses and residuals (its 0/1 targets are bools); the softmax
+# scores and probabilities, with its few (m,) per-column terms
+_ROW_ARRAYS = 3
 
 # sufficient-decrease constant of the backtracking line search
 _ARMIJO = 1e-4
@@ -374,33 +390,50 @@ def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
     return W, f, G, iters
 
 
-def _logistic_objective(X: sparse.csr_matrix, T: np.ndarray, cfg: TrainConfig):
-    """_descent's evaluate: ridge-penalized mean logistic loss of T's columns; bias last in W."""
+def _logistic_objective(X: sparse.csr_matrix, targets, cfg: TrainConfig):
+    """objective(block): _descent's evaluate over the columns in block, bias last in W.
+
+    Each column's value is its ridge-penalized mean logistic loss;
+    targets(block) gives the block's (m, width) 0/1 targets as a bool
+    matrix, built once per block.  An evaluation keeps three (m, k) float
+    arrays alive at once (_ROW_ARRAYS).
+    """
     m, d = X.shape
     Xt = X.T.tocsr()
     lam = cfg.reg_lambda
 
-    def evaluate(W, cols):
-        Z = X @ W[:d]
-        if cfg.bias:
-            Z += W[d]
-        targets = T[:, cols]
-        # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
-        loss = np.maximum(Z, 0.0)
-        loss -= targets * Z
-        loss += np.log1p(np.exp(-np.abs(Z)))
-        R = sigmoid_into(Z)
-        R -= targets
-        R /= m
-        f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
-        G = np.empty_like(W)
-        G[:d] = Xt @ R
-        G[:d] += lam * W[:d]
-        if cfg.bias:
-            G[d] = _column_sums(R)
-        return f, G
+    def objective(block: slice):
+        T = targets(block)
 
-    return evaluate
+        def evaluate(W, cols):
+            Z = X @ W[:d]
+            if cfg.bias:
+                Z += W[d]
+            t = T[:, cols]
+            # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
+            loss = np.maximum(Z, 0.0)
+            tmp = np.multiply(t, Z)
+            loss -= tmp
+            np.abs(Z, out=tmp)
+            np.negative(tmp, out=tmp)
+            np.exp(tmp, out=tmp)
+            loss += np.log1p(tmp, out=tmp)
+            # freed before _column_sums copies loss
+            del tmp
+            f = _column_sums(loss) / m + 0.5 * lam * _column_sums(W[:d] * W[:d])
+            R = sigmoid_into(Z, out=loss)
+            R -= t
+            R /= m
+            G = np.empty_like(W)
+            G[:d] = Xt @ R
+            G[:d] += lam * W[:d]
+            if cfg.bias:
+                G[d] = _column_sums(R)
+            return f, G
+
+        return evaluate
+
+    return objective
 
 
 def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,35 +450,45 @@ def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _softmax_objective(X: sparse.csr_matrix, classes: np.ndarray, C: int, cfg: TrainConfig):
-    """_descent's evaluate: ridge-penalized mean cross-entropy of each column of class indices."""
+    """objective(block): _descent's evaluate over the columns of class indices in block.
+
+    Each column's value is its ridge-penalized mean cross-entropy.  An
+    evaluation keeps two (m, k, C) arrays and a few (m, k) ones alive at
+    once, within _ROW_ARRAYS (m, C) arrays per column.
+    """
     m, d = X.shape
     p = d + int(cfg.bias)
     Xt = X.T.tocsr()
     rows = np.arange(m)[:, None]
     lam = cfg.reg_lambda
 
-    def evaluate(W, cols):
-        k = len(cols)
-        V = W.reshape(C, p, k)
-        Vd = V[:, :d]
-        # (m, column, class) scores: each column's C weight vectors side by side
-        Z = (X @ Vd.transpose(1, 2, 0).reshape(d, k * C)).reshape(m, k, C)
-        if cfg.bias:
-            Z += V[:, d].T
-        P, log_sums = _shifted_softmax(Z)
-        # each row's class in every column; each column's ridge sums one C*d row
-        at = (rows, np.arange(k), classes[:, cols])
-        f = (_column_sums(log_sums - Z[at]) / m
-             + 0.5 * lam * _column_sums((Vd * Vd).reshape(C * d, k)))
-        P[at] -= 1.0
-        P /= m
-        G = np.empty((C, p, k))
-        G[:, :d] = (Xt @ P.reshape(m, k * C)).reshape(d, k, C).transpose(2, 0, 1) + lam * Vd
-        if cfg.bias:
-            G[:, d] = P.sum(axis=0).T
-        return f, G.reshape(C * p, k)
+    def objective(block: slice):
+        block_classes = classes[:, block]
 
-    return evaluate
+        def evaluate(W, cols):
+            k = len(cols)
+            V = W.reshape(C, p, k)
+            Vd = V[:, :d]
+            # (m, column, class) scores: each column's C weight vectors side by side
+            Z = (X @ Vd.transpose(1, 2, 0).reshape(d, k * C)).reshape(m, k, C)
+            if cfg.bias:
+                Z += V[:, d].T
+            P, log_sums = _shifted_softmax(Z)
+            # each row's class in every column; each column's ridge sums one C*d row
+            at = (rows, np.arange(k), block_classes[:, cols])
+            f = (_column_sums(log_sums - Z[at]) / m
+                 + 0.5 * lam * _column_sums((Vd * Vd).reshape(C * d, k)))
+            P[at] -= 1.0
+            P /= m
+            G = np.empty((C, p, k))
+            G[:, :d] = (Xt @ P.reshape(m, k * C)).reshape(d, k, C).transpose(2, 0, 1) + lam * Vd
+            if cfg.bias:
+                G[:, d] = P.sum(axis=0).T
+            return f, G.reshape(C * p, k)
+
+        return evaluate
+
+    return objective
 
 
 def _newton_logistic(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig):
@@ -515,11 +558,11 @@ def _newton_softmax(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig, C: 
 
 
 class _LimitedMemory:
-    """Batched L-BFGS directions (two-loop recursion) for one block of columns.
+    """Batched L-BFGS directions (two-loop recursion) for one block of k columns.
 
-    Row r of the ring buffers S and Y (k, _MEMORY, dim) holds the last
-    steps and gradient changes of the column in position r of the active
-    set.  Every active column advances once per call, so the pair of
+    Row r of the block's own ring buffers S and Y (k, _MEMORY, dim) holds
+    the last steps and gradient changes of the column in position r of the
+    active set.  Every active column advances once per call, so the pair of
     iteration t sits in slot t % _MEMORY for all of them; a pair that fails
     the curvature test gets rho = 0, which makes it a no-op.  When columns
     leave the active set the rows of the others move up in place.  Each
@@ -527,10 +570,11 @@ class _LimitedMemory:
     columns share the block.
     """
 
-    def __init__(self, S: np.ndarray, Y: np.ndarray):
-        self.S, self.Y = S, Y
-        self.rho = np.zeros(S.shape[:2])
-        self.gamma = np.ones(len(S))
+    def __init__(self, k: int, dim: int):
+        self.S = np.empty((k, _MEMORY, dim))
+        self.Y = np.empty_like(self.S)
+        self.rho = np.zeros((k, _MEMORY))
+        self.gamma = np.ones(k)
         self.cols = None
         self.t = 0
 
@@ -580,55 +624,19 @@ class _LimitedMemory:
         return Q.T
 
 
-def _lbfgs(evaluate, dim: int, n: int, rows: int, cfg: TrainConfig):
-    """Batched L-BFGS over n parameter columns of length dim, each with rows row temporaries.
-
-    Each block runs _descent with its own _LimitedMemory directions, and
-    the blocks run on the row workers (decoding._run_slices).  With w
-    workers a block is at most ceil(n / w) columns wide, and w blocks
-    together fit LBFGS_BLOCK_ENTRIES.  The ring buffers are allocated
-    once, one slot per block that can run at a time; a block takes a free
-    slot and gives it back when it ends.  Returns the same arrays as
-    _descent.
-    """
-    workers = decoding._WORKERS
-    per_column = 2 * _MEMORY * dim + rows
-    width = max(1, min(-(-n // workers), LBFGS_BLOCK_ENTRIES // (workers * per_column)))
-    blocks = _slices(n, width)
-    S = np.empty((min(workers, len(blocks)), width, _MEMORY, dim))
-    Y = np.empty_like(S)
-    # list.pop and list.append are atomic, and no more blocks run at once than there are slots
-    free = list(range(len(S)))
-    W = np.empty((dim, n))
-    f = np.empty(n)
-    G = np.empty((dim, n))
-    iters = np.empty(n, dtype=np.int64)
-
-    def run(block: slice) -> None:
-        columns = np.arange(block.start, block.stop)
-
-        def evaluate_block(V, cols):
-            return evaluate(V, columns[cols])
-
-        slot = free.pop()
-        try:
-            W[:, block], f[block], G[:, block], iters[block] = _descent(
-                evaluate_block, _LimitedMemory(S[slot], Y[slot]), dim, columns.size, cfg
-            )
-        finally:
-            free.append(slot)
-
-    _run_slices(run, blocks)
-    return W, f, G, iters
-
-
-def _fit_columns(X: sparse.csr_matrix, evaluate, newton, C: int, n: int, names: Sequence[str],
+def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names: Sequence[str],
                  cfg: TrainConfig) -> tuple[np.ndarray, list[SubproblemReport]]:
     """The one solver dispatch: n parameter columns of C weight rows each, over the rows of X.
 
-    Small problems on dense features share one damped-Newton run with
-    newton(X, reg, cfg)'s directions (see NEWTON_MAX_DIM); the others run
-    batched L-BFGS.  Returns (n, C, d+1) weights, bias last, and one report per column.
+    objective(block) is _descent's evaluate over the columns in the slice
+    block.  Each block of columns runs _descent on its own.  Small problems
+    on dense features take damped Newton directions from newton(X, reg,
+    cfg) (see NEWTON_MAX_DIM), one block after another on this thread; the
+    others take batched L-BFGS directions, one block per row worker
+    (decoding._run_slices), and with w workers a block is at most
+    ceil(n / w) columns wide.  The blocks that run at once fit
+    LBFGS_BLOCK_ENTRIES.  Returns (n, C, d+1) weights, bias last, and one
+    report per column.
     """
     m, d = X.shape
     if m == 0:
@@ -638,16 +646,37 @@ def _fit_columns(X: sparse.csr_matrix, evaluate, newton, C: int, n: int, names: 
         raise ValueError("one name per target column is required")
     # per-weight L2 multipliers of a class row: reg_lambda on the d features, none on the bias
     reg = np.where(np.arange(d + int(cfg.bias)) < d, cfg.reg_lambda, 0.0)
-    dim = C * reg.size
+    p = reg.size
+    dim = C * p
+    # entries a column holds while its block runs: see LBFGS_BLOCK_ENTRIES
+    per_column = _ROW_ARRAYS * m * C
     if _use_newton(X, dim, cfg):
-        W, f, G, iters = _descent(evaluate, newton(X, reg, cfg), dim, n, cfg)
+        newton_direction = newton(X, reg, cfg)
+        directions, workers = (lambda k: newton_direction), 1
     else:
-        W, f, G, iters = _lbfgs(evaluate, dim, n, m * C, cfg)
+        directions, workers = partial(_LimitedMemory, dim=dim), decoding._WORKERS
+        per_column += 2 * _MEMORY * dim
+
     weights = np.zeros((n, C, d + 1))
-    weights[:, :, : reg.size] = W.T.reshape(n, C, reg.size)
-    norms = np.max(np.abs(G), axis=0).tolist()
+    f = np.empty(n)
+    norms = np.empty(n)
+    iters = np.empty(n, dtype=np.int64)
+
+    def run(block: slice) -> None:
+        k = block.stop - block.start
+        W, f[block], G, iters[block] = _descent(objective(block), directions(k), dim, k, cfg)
+        weights[block, :, :p] = W.T.reshape(k, C, p)
+        norms[block] = np.max(np.abs(G), axis=0)
+
+    width = max(1, min(-(-n // workers), LBFGS_BLOCK_ENTRIES // (workers * per_column)))
+    blocks = _slices(n, width)
+    if workers > 1:
+        _run_slices(run, blocks)
+    else:
+        for block in blocks:
+            run(block)
     reports = [SubproblemReport(name, float(f[c]), g, int(iters[c]), g <= cfg.grad_tol)
-               for c, (name, g) in enumerate(zip(names, norms))]
+               for c, (name, g) in enumerate(zip(names, norms.tolist()))]
     return weights, reports
 
 
@@ -667,8 +696,9 @@ def fit_logistic_columns(
         raise ValueError("one binary target per row is required")
     if not np.all((T == 0.0) | (T == 1.0)):
         raise ValueError("binary targets must be 0 or 1")
-    weights, reports = _fit_columns(X, _logistic_objective(X, T, cfg), _newton_logistic, 1,
-                                    T.shape[1], names, cfg)
+    hits = T == 1.0
+    weights, reports = _fit_columns(X, _logistic_objective(X, lambda block: hits[:, block], cfg),
+                                    _newton_logistic, 1, T.shape[1], names, cfg)
     return weights[:, 0], reports
 
 
@@ -744,19 +774,28 @@ class LinearModel(_RowScorer):
 
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:
-    """Fit one binary logistic model per active coordinate of scfg."""
+    """Fit one binary logistic model per active coordinate of scfg.
+
+    Each column block of the solve builds its own targets from data.bits,
+    so no (m, s^2+1) statistic table is held.
+    """
     if data.s != scfg.s:
         raise ValueError("dataset and surrogate config disagree on the tag count")
-    targets = label_stats_matrix(data.bits)[:, scfg.active_flats]
-    weights, reports = fit_logistic_columns(
-        data.features, targets, cfg, [str(ix) for ix in scfg.active_indices]
+    counts, flats = data.bits.sum(axis=1), scfg.active_flats
+
+    def targets(block: slice) -> np.ndarray:
+        return _coordinate_targets(data.bits, counts, flats[block])
+
+    weights, reports = _fit_columns(
+        data.features, _logistic_objective(data.features, targets, cfg), _newton_logistic, 1,
+        len(flats), [str(ix) for ix in scfg.active_indices], cfg
     )
     return LinearModel(
         s=data.s,
         d=data.d,
         beta=scfg.beta,
         active_indices=scfg.active_indices,
-        weights=weights,
+        weights=weights[:, 0],
         bias=cfg.bias,
         reg_lambda=cfg.reg_lambda,
         reports=tuple(reports),

@@ -387,10 +387,18 @@ class TestModelRoundTrip:
                 load_model(p)
             return
         if not np.all(np.isfinite(want)):
-            with pytest.raises(ValueError, match="^model weights must be finite$"):
+            with pytest.raises(DataFormatError, match="^line 10: model weights must be finite$"):
                 load_model(p)
             return
         assert load_model(p).weights.tobytes() == want.tobytes()
+
+    def test_non_finite_weight_names_its_line(self, tmp_path):
+        # line 10 is blank and skipped; the bad weight sits on line 12, after a good row
+        p = tmp_path / "m.txt"
+        _write(p, "#ml-model v1\nalgo=br\ns=2\nd=2\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+                  "vectors=2\n\n0 1 2\n3 -inf 5\n")
+        with pytest.raises(DataFormatError, match="^line 12: model weights must be finite$"):
+            load_model(p)
 
     def test_body_too_large_to_allocate_is_a_format_error(self, tmp_path):
         # a corrupt d must not escape as MemoryError; 8 PB exceeds any address space

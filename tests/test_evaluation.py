@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fbetamax import evaluation
 from fbetamax.evaluation import (
     DEFAULT_REG_GRID,
     EvalReport,
@@ -19,7 +20,7 @@ from fbetamax.evaluation import (
     regret_transfer_bound,
     surrogate_regret_estimate,
 )
-from fbetamax.decoding import chunk_rows
+from fbetamax.decoding import CHUNK_ENTRIES, chunk_rows
 from fbetamax.fmeasure import (
     BetaParam,
     LabelVec,
@@ -27,8 +28,9 @@ from fbetamax.fmeasure import (
     label_stats,
     loss_coeffs_matrix,
 )
-from fbetamax.losses import logit_link
-from fbetamax.training import Dataset
+from fbetamax.losses import logit_link, pointwise_binary_regret
+from fbetamax.surrogate import SurrogateConfig
+from fbetamax.training import Dataset, TrainConfig, train_surrogate
 from conftest import random_valid_means
 
 B1 = BetaParam(1.0)
@@ -172,14 +174,24 @@ class TestExpectedFQuantities:
 
 
 class _FixedScorer:
-    """Duck-typed stand-in for a model: fixed scores over given coordinates."""
+    """Duck-typed stand-in for a model: fixed scores over given coordinates.
+
+    Its "features" are row numbers: score_rows(ids) returns the fixed scores of rows ids.
+    """
 
     def __init__(self, scores: np.ndarray, flats: np.ndarray):
         self._scores = scores
         self.active_flats = flats
 
     def score_rows(self, X) -> np.ndarray:
-        return self._scores
+        return self._scores[X]
+
+
+def _trained_surrogate(rng, s: int, d: int):
+    """A full-K surrogate model fit briefly on random dense rows."""
+    data = Dataset(s=s, d=d, features=sparse.csr_matrix(rng.normal(size=(200, d))),
+                   labels=(rng.random((200, s)) < 0.4).astype(np.uint8))
+    return train_surrogate(data, TrainConfig(max_iters=5), SurrogateConfig.full(s, B1))
 
 
 class TestSurrogateRegret:
@@ -189,7 +201,7 @@ class TestSurrogateRegret:
         rows = np.stack([random_valid_means(s, rng) for _ in range(10)])
         flats = np.arange(s * s + 1)
         model = _FixedScorer(logit_link(rows), flats)
-        assert surrogate_regret_estimate(model, None, rows) == pytest.approx(
+        assert surrogate_regret_estimate(model, np.arange(10), rows) == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -199,13 +211,47 @@ class TestSurrogateRegret:
         rows = np.stack([random_valid_means(s, rng) for _ in range(10)])
         flats = np.arange(s * s + 1)
         model = _FixedScorer(np.zeros((10, s * s + 1)), flats)
-        assert surrogate_regret_estimate(model, None, rows) > 0.01
+        assert surrogate_regret_estimate(model, np.arange(10), rows) > 0.01
+
+    @pytest.mark.parametrize("m", [1, 49, 50, 51, 151])
+    def test_row_blocks_match_the_whole_batch(self, m, monkeypatch):
+        # blocks of 50 rows: one row, a block less one, one block, one more, three blocks
+        rng = np.random.default_rng(5)
+        model = _trained_surrogate(rng, s=3, d=4)
+        n = len(model.active_flats)
+        monkeypatch.setattr(evaluation, "CHUNK_ENTRIES", evaluation._REGRET_ARRAYS * n * 50)
+        X = sparse.csr_matrix(rng.normal(size=(m, 4)))
+        rows = np.stack([random_valid_means(3, rng) for _ in range(m)])
+        whole = pointwise_binary_regret(rows[:, model.active_flats], model.score_rows(X))
+        assert surrogate_regret_estimate(model, X, rows) == float(np.mean(whole.sum(axis=1)))
+
+    def test_peak_memory_is_one_row_block(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(6)
+        model = _trained_surrogate(rng, s=6, d=100)
+        m = 15000
+        X = sparse.csr_matrix(rng.normal(size=(m, 100)))
+        rows = rng.random((m, 37))
+        tracemalloc.start()
+        try:
+            surrogate_regret_estimate(model, X, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.0 in row blocks; the whole batch's ten (15000, 37) arrays put this near 5.3
+        assert peak < 1.5 * CHUNK_ENTRIES * 8
+
+    def test_row_count_mismatch_rejected(self):
+        model = _FixedScorer(np.zeros((4, 3)), np.arange(3))
+        with pytest.raises(ValueError, match="shapes"):
+            surrogate_regret_estimate(model, np.arange(4), np.zeros((3, 5)))
 
     def test_shape_mismatch_rejected(self):
         # scorer claims 3 active coordinates but emits only 2 columns
         model = _FixedScorer(np.zeros((3, 2)), np.arange(3))
         with pytest.raises(ValueError, match="shapes"):
-            surrogate_regret_estimate(model, None, np.zeros((3, 5)))
+            surrogate_regret_estimate(model, np.arange(3), np.zeros((3, 5)))
 
 
 class TestTransferBound:

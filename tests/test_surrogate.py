@@ -12,10 +12,11 @@ from scipy.optimize import minimize
 
 from fbetamax.baselines import EfpModel
 from fbetamax.dataio import load_model, save_model
-from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
+from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex, label_stats_matrix
 from fbetamax.losses import sigmoid
 from fbetamax.surrogate import (
     SurrogateConfig,
+    _coordinate_targets,
     binary_targets,
     coordinates,
     surrogate_gradient,
@@ -289,6 +290,21 @@ class TestBinaryTargets:
             t = binary_targets(bits, ix)
             want = [label_stats(LabelVec(tuple(row)))[ix.flat(4)] for row in bits]
             np.testing.assert_array_equal(t, want)
+
+    @pytest.mark.parametrize("counts", [None, (1, 3), (2,)])
+    def test_block_targets_are_the_statistic_columns(self, counts):
+        # the targets train_surrogate builds for each column block
+        rng = np.random.default_rng(41)
+        bits = (rng.random((300, 5)) < 0.4).astype(np.uint8)
+        bits[:7] = 0  # empty rows set the zero slot
+        scfg = (SurrogateConfig.full(5, B1) if counts is None
+                else SurrogateConfig.for_counts(5, counts, B1))
+        flats = scfg.active_flats
+        stats = label_stats_matrix(bits)
+        for block in (slice(0, len(flats)), slice(0, 1), slice(1, 4), slice(len(flats) - 2, None)):
+            T = _coordinate_targets(bits, bits.sum(axis=1), flats[block])
+            assert T.dtype == bool
+            np.testing.assert_array_equal(T, stats[:, flats[block]] == 1.0)
 
     def test_one_column_needs_no_statistic_matrix(self):
         import tracemalloc

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.special import expit, logsumexp
 
 from fbetamax import decoding, training
+from fbetamax.baselines import BrModel, train_efp
 from fbetamax.decoding import chunk_rows, decode_rows
 from fbetamax.fmeasure import BetaParam, LabelVec, StatIndex
 from fbetamax.losses import sigmoid_into
@@ -243,7 +244,7 @@ class TestBinarySolver:
         T = (rng.random((m, 5)) < expit(X @ w_true)).astype(float)
         T[:, 2] = 0.0  # a saturating column converges later than the others
         p = d + 1
-        monkeypatch.setattr(training_mod, "LBFGS_BLOCK_ENTRIES", 2 * (2 * 10 * p + m))
+        monkeypatch.setattr(training_mod, "LBFGS_BLOCK_ENTRIES", 2 * _lbfgs_column(m, p))
         cfg = TrainConfig(reg_lambda=0.01)
         names = ["a", "b", "c", "d", "e"]
         W, reports = fit_logistic_columns(X, T, cfg, names)
@@ -280,6 +281,11 @@ class TestBinarySolver:
         assert out.strip() == "False"
 
 
+def _lbfgs_column(m: int, p: int) -> int:
+    """Budget entries of one binary L-BFGS column: its history and three (m,) row arrays."""
+    return 2 * 10 * p + 3 * m
+
+
 def _lbfgs_problem(n: int):
     """An L-BFGS problem (sparse, above the cutoff) with n target columns, and its m and p."""
     rng = np.random.default_rng(31)
@@ -305,7 +311,7 @@ class TestLbfgsBlocks:
         # widths 4, 2 and 1 at 1, 2 and 4 workers: n = 1 is one block, 8 a multiple of
         # the width and 9 one column more
         X, T, m, p = _lbfgs_problem(n)
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * (2 * 10 * p + m))
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * _lbfgs_column(m, p))
         names = [str(c) for c in range(n)]
         W, reports = fit_logistic_columns(X, T, TrainConfig(reg_lambda=0.01), names)
         for c in range(n):
@@ -318,9 +324,9 @@ class TestLbfgsBlocks:
     def test_two_workers_halve_the_width_within_the_budget(self, n, want, row_workers, monkeypatch):
         X, T, m, p = _lbfgs_problem(n)
         # one worker would take blocks of 6 columns
-        budget = 6 * (2 * 10 * p + m)
+        budget = 6 * _lbfgs_column(m, p)
         monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
-        blocks, buffers = [], {}
+        blocks, histories = [], []
         run_slices = training._run_slices
 
         def recording_run(piece, slices):
@@ -328,10 +334,9 @@ class TestLbfgsBlocks:
             run_slices(piece, slices)
 
         class RecordingMemory(training._LimitedMemory):
-            def __init__(self, S, Y):
-                # each slot is a view into the call's one S and one Y buffer
-                buffers.update({id(S.base): S.base, id(Y.base): Y.base})
-                super().__init__(S, Y)
+            def __init__(self, k, dim):
+                super().__init__(k, dim)
+                histories.append((k, self.S.shape, self.Y.shape))
 
         monkeypatch.setattr(training, "_run_slices", recording_run)
         monkeypatch.setattr(training, "_LimitedMemory", RecordingMemory)
@@ -341,41 +346,171 @@ class TestLbfgsBlocks:
         assert blocks == want
         width = max(stop - start for start, stop in blocks)
         assert width <= -(-n // 2)
-        # two blocks at once hold their row temporaries and the slots their histories
-        assert 2 * width * (2 * 10 * p + m) <= budget
-        assert len(buffers) == 2
-        assert sum(buf.size for buf in buffers.values()) <= budget
-        assert all(buf.shape == (2, width, 10, p) for buf in buffers.values())
+        # two blocks at once hold their row arrays and histories, each its own
+        assert 2 * width * _lbfgs_column(m, p) <= budget
+        widths = [stop - start for start, stop in blocks]
+        assert sorted(histories) == sorted((k, (k, 10, p), (k, 10, p)) for k in widths)
 
     def test_the_first_failing_block_is_raised(self, row_workers, monkeypatch):
         # blocks [0:4] [4:8] [8:9], [0:2] .. [8:9] or one column each: columns 4
         # and 8 fail in two blocks after the first
         X, T, m, p = _lbfgs_problem(9)
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * (2 * 10 * p + m))
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * _lbfgs_column(m, p))
         cfg = TrainConfig(reg_lambda=0.01)
         names = [str(c) for c in range(9)]
         want, want_reports = fit_logistic_columns(X, T, cfg, names)
         objective = training._logistic_objective
 
-        def failing_objective(X, T, cfg):
-            evaluate = objective(X, T, cfg)
+        def failing_objective(X, targets, cfg):
+            block_objective = objective(X, targets, cfg)
 
-            def checked(W, cols):
-                bad = [c for c in (4, 8) if c in cols]
-                if bad:
-                    raise RuntimeError(f"column {bad[0]}")
-                return evaluate(W, cols)
+            def checked_block(block):
+                evaluate = block_objective(block)
 
-            return checked
+                def checked(W, cols):
+                    # cols count from the block's first column
+                    bad = [c for c in (4, 8) if c - block.start in cols]
+                    if bad:
+                        raise RuntimeError(f"column {bad[0]}")
+                    return evaluate(W, cols)
+
+                return checked
+
+            return checked_block
 
         monkeypatch.setattr(training, "_logistic_objective", failing_objective)
         with pytest.raises(RuntimeError, match="column 4"):
             fit_logistic_columns(X, T, cfg, names)
-        # the pool and the next call's buffers are unharmed
+        # the pool and the next call are unharmed
         monkeypatch.setattr(training, "_logistic_objective", objective)
         W, reports = fit_logistic_columns(X, T, cfg, names)
         np.testing.assert_array_equal(W, want)
         assert reports == want_reports
+
+
+def _dense_dataset(rng, m: int, s: int, d: int) -> Dataset:
+    """Dense features, on the damped-Newton path at small d."""
+    bits = (rng.random((m, s)) < 0.4).astype(np.uint8)
+    return Dataset(s=s, d=d, features=sparse.csr_matrix(rng.normal(size=(m, d))), labels=bits)
+
+
+def _wide_dataset(rng, m: int, s: int) -> Dataset:
+    """Sparse features above the Newton cutoff: the batched L-BFGS path."""
+    d = NEWTON_MAX_DIM + 2
+    X = sparse.random(m, d, density=0.02, format="csr",
+                      random_state=np.random.RandomState(int(rng.integers(2**31))))
+    return Dataset(s=s, d=d, features=X, labels=(rng.random((m, s)) < 0.4).astype(np.uint8))
+
+
+class TestColumnBlocks:
+    """Both solvers run over column blocks; a column's result does not depend on its block."""
+
+    @staticmethod
+    def _fit_counting_blocks(monkeypatch, fit, budget):
+        """fit() under an LBFGS_BLOCK_ENTRIES budget; returns its result and the block sizes."""
+        sizes = []
+        descent = training._descent
+
+        def counting(evaluate, direction, dim, n, cfg):
+            sizes.append(n)
+            return descent(evaluate, direction, dim, n, cfg)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_descent", counting)
+            if budget is not None:
+                patch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
+            return fit(), sizes
+
+    def test_newton_logistic_blocks_match_one_block(self, monkeypatch):
+        data = _dense_dataset(np.random.default_rng(42), m=120, s=4, d=5)
+        scfg = SurrogateConfig.full(4, B1)
+        cfg = TrainConfig(reg_lambda=0.01)
+
+        def fit():
+            return train_surrogate(data, cfg, scfg)
+
+        one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
+        assert sizes == [17]
+        # three (m,) row arrays per binary column: two columns per block
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 2 * 3 * data.m)
+        assert sizes == [2] * 8 + [1]
+        assert many.weights.tobytes() == one.weights.tobytes()
+        assert many.reports == one.reports
+        assert all(r.converged for r in one.reports)
+
+    def test_newton_softmax_blocks_match_one_block(self, monkeypatch):
+        data = _dense_dataset(np.random.default_rng(43), m=150, s=4, d=4)
+        C = 1 + len(data.observed_counts - {0})
+        cfg = TrainConfig(reg_lambda=0.01)
+
+        def fit():
+            return train_efp(data, cfg, B1)
+
+        one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
+        # the zero slot's logistic column, then the s softmax blocks
+        assert sizes == [1, 4]
+        # three (m, C) row arrays per softmax column: one tag per block
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 3 * data.m * C)
+        assert sizes == [1, 1, 1, 1, 1]
+        assert many.weights.tobytes() == one.weights.tobytes()
+        assert many.reports == one.reports
+        assert all(r.converged for r in one.reports)
+
+    def test_lbfgs_blocks_match_one_block(self, monkeypatch):
+        data = _wide_dataset(np.random.default_rng(44), m=150, s=3)
+        scfg = SurrogateConfig.full(3, B1)
+        cfg = TrainConfig(reg_lambda=0.01)
+        p = data.d + 1
+
+        def fit():
+            return train_surrogate(data, cfg, scfg)
+
+        one, sizes = self._fit_counting_blocks(monkeypatch, fit, 1 << 30)
+        assert max(sizes) >= -(-10 // decoding._WORKERS)
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, _lbfgs_column(data.m, p))
+        assert sizes == [1] * 10
+        assert many.weights.tobytes() == one.weights.tobytes()
+        assert many.reports == one.reports
+        assert all(r.converged for r in one.reports)
+
+
+class TestBoundedMemory:
+    """train_surrogate holds no (m, s^2+1) table: its peak stays below a fraction of one."""
+
+    @staticmethod
+    def _peak_in_tables(data: Dataset) -> float:
+        import tracemalloc
+
+        # at max_iters 1 every column has been evaluated, stepped and searched once
+        cfg, scfg = TrainConfig(max_iters=1), SurrogateConfig.full(data.s, B1)
+        tracemalloc.start()
+        try:
+            train_surrogate(data, cfg, scfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (data.m * (data.s * data.s + 1) * 8)
+
+    def test_newton_path_at_s30(self):
+        # 901 columns on dense features: about 0.39 in column blocks, 6.1 with the
+        # whole statistic table, its target slice and one evaluation of every column
+        data = _dense_dataset(np.random.default_rng(45), m=4000, s=30, d=20)
+        assert self._peak_in_tables(data) < 0.5
+
+    def test_lbfgs_path_at_s30(self):
+        # about 0.65 in column blocks (the (901, 1003) weights alone are 0.25),
+        # 2.1 with the whole statistic table and its target slice
+        data = _wide_dataset(np.random.default_rng(46), m=4000, s=30)
+        assert self._peak_in_tables(data) < 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+def test_feature_weights_are_the_contiguous_transpose(rows):
+    weights = np.random.default_rng(47).normal(size=(rows, 6))
+    model = BrModel(s=rows, d=5, weights=weights, bias=True, reg_lambda=0.0)
+    W = model._feature_weights
+    assert W.flags.c_contiguous
+    assert W.tobytes() == np.ascontiguousarray(weights[:, :5].T).tobytes()
 
 
 class TestTrainConfig:
