@@ -182,15 +182,14 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     the surrogate risk gap that feeds the regret transfer bound.  Rows are
     scored and summed one block at a time on this thread, each block's
     (rows, n) arrays together about CHUNK_ENTRIES entries, so memory does
-    not grow with m.  X is any feature matrix that rows can be sliced from.
+    not grow with m.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     flats = model.active_flats
     m = len(prob_rows)
+    X = X.tocsr() if sparse.issparse(X) else np.asarray(X)
     if X.shape[0] != m:
         raise ValueError("score and mean shapes differ")
-    if sparse.issparse(X):
-        X = X.tocsr()
     per_point = np.empty(m)
     for rows in _slices(m, max(1, CHUNK_ENTRIES // (_REGRET_ARRAYS * len(flats)))):
         scores = model.score_rows(X[rows])

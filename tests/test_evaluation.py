@@ -242,6 +242,16 @@ class TestSurrogateRegret:
         # about 1.0 in row blocks; the whole batch's ten (15000, 37) arrays put this near 5.3
         assert peak < 1.5 * CHUNK_ENTRIES * 8
 
+    def test_dense_and_list_features_match_csr(self):
+        rng = np.random.default_rng(7)
+        model = _trained_surrogate(rng, s=3, d=4)
+        X = rng.normal(size=(20, 4))
+        rows = np.stack([random_valid_means(3, rng) for _ in range(20)])
+        want = surrogate_regret_estimate(model, sparse.csr_matrix(X), rows)
+        assert surrogate_regret_estimate(model, X, rows) == want
+        assert surrogate_regret_estimate(model, X.tolist(), rows) == want
+        assert surrogate_regret_estimate(model, sparse.coo_matrix(X), rows) == want
+
     def test_row_count_mismatch_rejected(self):
         model = _FixedScorer(np.zeros((4, 3)), np.arange(3))
         with pytest.raises(ValueError, match="shapes"):
