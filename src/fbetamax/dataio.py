@@ -135,6 +135,8 @@ def _dataset_block(rows: list[str], s: int, d: int):
     flat = joined.replace(":", " ").split(" ") if n else []
     idx = np.fromiter(map(int, flat[0::2]), dtype=np.intp, count=n)
     vals = np.fromiter(map(float, flat[1::2]), dtype=np.float64, count=n)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("a feature value is not finite")
     if n and (idx.min() < 1 or idx.max() > d):
         raise ValueError("feature index out of range")
     row_of = np.repeat(np.arange(len(rows)), nnz)
@@ -174,6 +176,8 @@ def _dataset_lines(rows: list[str], lineno: int, s: int, d: int):
                     val = float(val_txt)
                 except ValueError:
                     raise DataFormatError(f"{where}: bad feature pair {tok!r}") from None
+                if not np.isfinite(val):
+                    raise DataFormatError(f"{where}: feature value {val_txt!r} is not finite")
                 if not 1 <= idx <= d:
                     raise DataFormatError(f"{where}: feature index {idx} out of range 1..{d}")
                 if idx == prev:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -91,50 +90,25 @@ def _usable_cpus() -> int:
 # a batch of more than one chunk runs in pieces of a quarter chunk, on one
 # thread per CPU this process may run on (taskset limits them) but at most
 # one per piece of a chunk, so the threads together hold one chunk's
-# temporaries.  training._fit_columns runs its L-BFGS column blocks on the
-# same threads, sizing them so that they together keep its memory budget.
+# temporaries.  training._fit_columns runs its column blocks on the same
+# threads, sizing them so that they together keep its memory budget.
 _PIECES_PER_CHUNK = 4
 _WORKERS = min(_PIECES_PER_CHUNK, _usable_cpus())
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The module's worker pool, built on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fbetamax-rows")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, so it builds its own pool."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_slices(piece: Callable[[slice], None], slices: list[slice]) -> None:
     """Call piece(part) once for each slice, taken in list order.
 
-    This thread and up to _WORKERS - 1 pool threads take the slices, so
-    at most min(_WORKERS, len(slices)) pieces run at once; with one worker
-    or one slice every piece runs on this thread.  It runs the row pieces
-    of _map_rows and the L-BFGS column blocks of training._fit_columns.  A
-    piece must write only its own part, call no public function and not
-    use the pool.
+    This thread and up to _WORKERS - 1 helper threads, started for this
+    call and joined before it returns, take the slices, so at most
+    min(_WORKERS, len(slices)) pieces run at once; with one worker or one
+    slice every piece runs on this thread and no thread starts.  It runs
+    the row pieces of _map_rows and the column blocks of
+    training._fit_columns.  A piece must write only its own part and call
+    no public function.
     After a failure no new piece starts, and the exception of the first
     failing slice in list order is raised, as a serial pass would raise it.
     """
-    threads = min(_WORKERS, len(slices))
-    if threads <= 1:
-        for part in slices:
-            piece(part)
-        return
     todo = deque(enumerate(slices))
     errors: dict[int, BaseException] = {}
 
@@ -149,11 +123,12 @@ def _run_slices(piece: Callable[[slice], None], slices: list[slice]) -> None:
             except BaseException as exc:  # re-raised on the calling thread below
                 errors[i] = exc
 
-    pool = _pool()
-    helpers = [pool.submit(work) for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(slices)) - 1)]
+    for helper in helpers:
+        helper.start()
     work()
     for helper in helpers:
-        helper.result()
+        helper.join()
     if errors:
         raise errors[min(errors)]
 

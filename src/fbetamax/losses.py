@@ -101,11 +101,33 @@ def pointwise_binary_regret(q, u):
     q * (phi(+1,u) - phi(+1,logit(q))) + (1-q) * (phi(-1,u) - phi(-1,logit(q))),
     the KL divergence from Bernoulli(q) to Bernoulli(sigmoid(u)).
     Non-negative up to clipping effects of order PROB_CLIP at the boundary.
+    Each phi adds logistic_loss's terms in its order, so the values match
+    it bit for bit, with four arrays of the broadcast shape alive at once.
     """
     q = np.asarray(q, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    best = logit_link(q)
-    val = q * (logistic_loss(1.0, u) - logistic_loss(1.0, best)) + (1.0 - q) * (
-        logistic_loss(-1.0, u) - logistic_loss(-1.0, best)
-    )
-    return val.item() if np.ndim(val) == 0 else val
+    best = logit_link(q)  # NaN where q is NaN
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(best))):
+        raise ValueError("scores must be finite")
+    shape = np.broadcast_shapes(q.shape, u.shape)
+    tail, pos_best, neg_best = (np.empty(shape) for _ in range(3))
+    # phi(+-1, v) = max(0, -+v) + log1p(exp(-|v|)), the tail shared by both
+    np.log1p(np.exp(np.negative(np.abs(best, out=tail), out=tail), out=tail), out=tail)
+    np.maximum(0.0, np.negative(best, out=pos_best), out=pos_best)
+    pos_best += tail
+    np.maximum(0.0, best, out=neg_best)
+    neg_best += tail
+    del best
+    np.log1p(np.exp(np.negative(np.abs(u, out=tail), out=tail), out=tail), out=tail)
+    # q * (phi(+1, u) - phi(+1, best)), then (1-q) * (phi(-1, u) - phi(-1, best))
+    val = np.empty(shape)
+    np.maximum(0.0, np.negative(u, out=val), out=val)
+    val += tail
+    val -= pos_best
+    val *= q
+    other = np.maximum(0.0, u, out=pos_best)
+    other += tail
+    other -= neg_best
+    other *= np.subtract(1.0, q, out=tail)
+    val += other
+    return val.item() if val.ndim == 0 else val

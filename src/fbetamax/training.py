@@ -12,10 +12,10 @@ _descent, the shared per-column Armijo search and active set.  Both run
 over blocks of columns that fit LBFGS_BLOCK_ENTRIES, each block with its
 own targets, so memory does not grow with the number of columns.  Small
 problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) take
-damped Newton directions, one Cholesky solve per column and iteration,
-one block after another; the rest take batched L-BFGS directions (Liu &
-Nocedal, Math. Prog. 45, 1989), their blocks at once on the row worker
-threads (decoding._run_slices).  A column's result does not depend on its
+damped Newton directions, one Cholesky solve per column and iteration;
+the rest take batched L-BFGS directions (Liu & Nocedal, Math. Prog. 45,
+1989).  Either way the blocks run at once on the row worker threads
+(decoding._run_slices), and a column's result does not depend on its
 block or on the number of threads.
 """
 
@@ -145,16 +145,17 @@ class SubproblemReport:
     converged: bool
 
 
-def _as_feature_matrix(X, d: int) -> sparse.csr_matrix:
-    """X as a CSR matrix with d columns; ValueError unless every value is finite."""
+def _as_feature_matrix(X, d: int | None = None) -> sparse.csr_matrix:
+    """X as a float64 CSR matrix, with d columns if d is given; ValueError unless all finite."""
     if sparse.issparse(X):
-        X = X.tocsr()
+        # shares the arrays of a float64 CSR matrix
+        X = sparse.csr_matrix(X, dtype=np.float64)
     else:
         arr = np.asarray(X, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[None, :]
         X = sparse.csr_matrix(arr)
-    if X.shape[1] != d:
+    if d is not None and X.shape[1] != d:
         raise ValueError(f"features have {X.shape[1]} columns, model expects {d}")
     if not np.all(np.isfinite(X.data)):
         raise ValueError("feature values must be finite")
@@ -292,12 +293,14 @@ class _RowScorer:
 NEWTON_MAX_DIM = 1000
 NEWTON_MIN_DENSITY = 0.5
 
-# The column blocks that run at once together hold about this many entries.
-# Per column of C weight rows (C = 1 for a binary column) that is the
-# _ROW_ARRAYS (m, C) arrays its evaluation keeps alive, plus 2*_MEMORY*C*p
-# history under L-BFGS.  Newton blocks run one at a time, L-BFGS blocks one
-# per worker thread, so the block width, not the number of columns, rows or
-# threads, bounds memory.
+# The column blocks that run at once, one per worker thread, together hold
+# about this many entries.  Per column of C weight rows (C = 1 for a binary
+# column) that is the _ROW_ARRAYS (m, C) arrays its evaluation keeps alive,
+# plus 2*_MEMORY*C*p history under L-BFGS, so the block width, not the
+# number of columns, rows or threads, bounds memory.  Each running Newton
+# block also holds one column's curvature temporaries at a time, outside
+# the budget: an (m, p) weighted design and a p x p Hessian, (C-1)p wide
+# for a softmax block.
 LBFGS_BLOCK_ENTRIES = 1 << 20
 # (m, C) arrays per column alive at once in one evaluation: the logistic
 # scores, losses and residuals (its 0/1 targets are bools); the softmax
@@ -631,12 +634,11 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
     objective(block) is _descent's evaluate over the columns in the slice
     block.  Each block of columns runs _descent on its own.  Small problems
     on dense features take damped Newton directions from newton(X, reg,
-    cfg) (see NEWTON_MAX_DIM), one block after another on this thread; the
-    others take batched L-BFGS directions, one block per row worker
-    (decoding._run_slices), and with w workers a block is at most
-    ceil(n / w) columns wide.  The blocks that run at once fit
-    LBFGS_BLOCK_ENTRIES.  Returns (n, C, d+1) weights, bias last, and one
-    report per column.
+    cfg) (see NEWTON_MAX_DIM), the others batched L-BFGS directions.  At w
+    row workers a block holds at most LBFGS_BLOCK_ENTRIES / w entries, so
+    the blocks, one per worker at once (decoding._run_slices), keep that
+    budget together; a problem that fits one block runs on this thread.
+    Returns (n, C, d+1) weights, bias last, and one report per column.
     """
     m, d = X.shape
     if m == 0:
@@ -652,9 +654,9 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
     per_column = _ROW_ARRAYS * m * C
     if _use_newton(X, dim, cfg):
         newton_direction = newton(X, reg, cfg)
-        directions, workers = (lambda k: newton_direction), 1
+        directions = lambda k: newton_direction
     else:
-        directions, workers = partial(_LimitedMemory, dim=dim), decoding._WORKERS
+        directions = partial(_LimitedMemory, dim=dim)
         per_column += 2 * _MEMORY * dim
 
     weights = np.zeros((n, C, d + 1))
@@ -668,13 +670,7 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
         weights[block, :, :p] = W.T.reshape(k, C, p)
         norms[block] = np.max(np.abs(G), axis=0)
 
-    width = max(1, min(-(-n // workers), LBFGS_BLOCK_ENTRIES // (workers * per_column)))
-    blocks = _slices(n, width)
-    if workers > 1:
-        _run_slices(run, blocks)
-    else:
-        for block in blocks:
-            run(block)
+    _run_slices(run, _slices(n, max(1, LBFGS_BLOCK_ENTRIES // (decoding._WORKERS * per_column))))
     reports = [SubproblemReport(name, float(f[c]), g, int(iters[c]), g <= cfg.grad_tol)
                for c, (name, g) in enumerate(zip(names, norms.tolist()))]
     return weights, reports
@@ -690,7 +686,7 @@ def fit_logistic_columns(
     the bias last (zero when disabled) and one report per column, named by
     names.
     """
-    X = sparse.csr_matrix(X, dtype=np.float64)
+    X = _as_feature_matrix(X)
     T = np.asarray(T, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != X.shape[0]:
         raise ValueError("one binary target per row is required")
@@ -810,7 +806,7 @@ def train_multinomial(
     Each minimizes mean cross-entropy + reg_lambda/2 * ||W||^2 (biases free).
     Returns (n, C, d+1) weights and named reports, as fit_logistic_columns does.
     """
-    X = sparse.csr_matrix(X, dtype=np.float64)
+    X = _as_feature_matrix(X)
     if n_classes < 2:
         raise ValueError("a multinomial block needs at least two classes")
     classes = np.asarray(classes)

@@ -38,21 +38,18 @@ def random_valid_means(s: int, rng: np.random.Generator) -> np.ndarray:
 
 @pytest.fixture(params=[1, 2, 4])
 def row_workers(request, monkeypatch):
-    """Run row pieces on 1, 2 or 4 threads, each count with its own pool.
+    """Run row pieces and column blocks on 1, 2 or 4 threads.
 
     The thread switch interval is shortened, so the pieces of one batch
     interleave as much as they can.
     """
     monkeypatch.setattr(decoding, "_WORKERS", request.param)
-    monkeypatch.setattr(decoding, "_POOL", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         yield request.param
     finally:
         sys.setswitchinterval(interval)
-        if decoding._POOL is not None:
-            decoding._POOL.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestLoadDataset:
             load_dataset(p)
         assert f"line {lineno}" in str(err.value)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "Infinity", "1e400"])
+    def test_non_finite_value_names_its_line_and_token(self, tmp_path, bad):
+        # the same wording as convert's, not the Dataset constructor's plain ValueError
+        p = tmp_path / "nonfinite.mlsparse"
+        _write(p, f"#ml-sparse v1 s=2 d=3\n1\t1:0.5\n2\t1:1 2:{bad} 3:9\n")
+        with pytest.raises(DataFormatError,
+                           match=f"^line 3: feature value '{bad}' is not finite$"):
+            load_dataset(p)
 
     def test_duplicate_label_tokens_are_tolerated(self, tmp_path):
         p = tmp_path / "dup.txt"
@@ -648,6 +658,8 @@ def _oracle_load_dataset(path):
                     val = float(val_txt)
                 except ValueError:
                     raise DataFormatError(f"line {lineno}: bad feature pair {tok!r}") from None
+                if not math.isfinite(val):
+                    raise DataFormatError(f"line {lineno}: feature value {val_txt!r} is not finite")
                 if not 1 <= idx <= d:
                     raise DataFormatError(
                         f"line {lineno}: feature index {idx} out of range 1..{d}"
@@ -759,8 +771,9 @@ class TestBlockedDatasetIO:
 
     MUTATIONS = (
         "drop_colon", "extra_colon", "repeat_token", "swap_tokens", "index_zero", "index_above_d",
-        "bad_label", "blank_line", "carriage_return", "trailing_space",
+        "bad_label", "blank_line", "carriage_return", "trailing_space", "non_finite_value",
     )
+    NON_FINITE = ("inf", "-inf", "nan", "Infinity", "1e400")
     BAD_LABELS = ("x", "0", "9", "1,,2", ",", "-1", " 1", "1_0", "1.0", "99999999999999999999")
 
     @given(data=st.data())
@@ -791,6 +804,9 @@ class TestBlockedDatasetIO:
             toks[i] = f"{bad}:{toks[i].split(':')[1]}"
         elif what == "bad_label":
             labels = data.draw(st.sampled_from(self.BAD_LABELS), label="labels")
+        elif what == "non_finite_value":
+            value = data.draw(st.sampled_from(self.NON_FINITE), label="value")
+            toks[i] = f"{toks[i].split(':')[0]}:{value}"
         line = f"{labels}\t{' '.join(toks)}"
         if what == "blank_line":
             lines.insert(k, "")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from fbetamax.fmeasure import (
     label_stats_matrix,
     loss_coeffs_matrix,
 )
+from fbetamax.surrogate import SurrogateConfig
+from fbetamax.training import LinearModel
 from conftest import random_valid_means
 
 B1 = BetaParam(1.0)
@@ -312,30 +315,53 @@ class TestRowPieces:
         with pytest.raises(ValueError, match="finite"):
             decode_rows(P, s, B1)
 
-    def test_one_chunk_builds_no_pool(self):
-        out = run_script("""
-            import numpy as np
-            from fbetamax import decoding
-            from fbetamax.fmeasure import BetaParam
-            from fbetamax.surrogate import SurrogateConfig
-            from fbetamax.training import LinearModel
-            s, d = 50, 3
-            c = decoding.chunk_rows(s)
-            scfg = SurrogateConfig.full(s, BetaParam(1.0))
-            model = LinearModel(s=s, d=d, beta=BetaParam(1.0), active_indices=scfg.active_indices,
-                                weights=np.zeros((s * s + 1, d + 1)), bias=True, reg_lambda=0.0)
-            probs = model.stat_prob_rows(np.ones((c, d)))
-            decoding.decode_rows(probs, s, BetaParam(1.0))
-            print(decoding._POOL is None)
-            decoding.decode_rows(np.vstack([probs, probs]), s, BetaParam(1.0))
-            print(decoding._POOL is None, decoding._WORKERS)
-        """).split()
-        assert out[0] == "True"
-        # a two-chunk batch builds it whenever there is more than one worker
-        assert out[1] == str(out[2] == "1")
+    @pytest.mark.parametrize("row_workers", [2, 4], indirect=True)
+    def test_one_chunk_starts_no_thread(self, row_workers, monkeypatch):
+        started = []
 
-    def test_forked_child_builds_its_own_pool(self):
-        # the child inherits no pool threads; decoding on the parent's pool would hang
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(decoding.threading, "Thread", CountingThread)
+        s, d = 50, 3
+        scfg = SurrogateConfig.full(s, B1)
+        model = LinearModel(s=s, d=d, beta=B1, active_indices=scfg.active_indices,
+                            weights=np.zeros((s * s + 1, d + 1)), bias=True, reg_lambda=0.0)
+        probs = model.stat_prob_rows(np.ones((chunk_rows(s), d)))
+        decode_rows(probs, s, B1)
+        assert started == []
+        # a two-chunk batch runs in quarter-chunk pieces on one helper thread
+        # per extra worker, and each has ended when the call returns
+        decode_rows(np.vstack([probs, probs]), s, B1)
+        assert len(started) == row_workers - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_no_helper_thread_outlives_the_call(self, row_workers):
+        before = threading.active_count()
+        counts = []
+
+        def piece(rows: slice) -> None:
+            counts.append(threading.active_count())
+            time.sleep(0.001)
+
+        decoding._run_slices(piece, decoding._slices(20, 1))
+        assert len(counts) == 20 and max(counts) <= before + row_workers - 1
+        assert threading.active_count() == before
+
+        def failing(rows: slice) -> None:
+            time.sleep(0.001)
+            if rows.start == 3:
+                raise ValueError("piece 3")
+
+        with pytest.raises(ValueError, match="piece 3"):
+            decoding._run_slices(failing, decoding._slices(20, 1))
+        assert threading.active_count() == before
+
+    def test_forked_child_decodes_a_multi_chunk_batch(self):
+        # helper threads start per call, so a child forked after a threaded
+        # decode needs none of its parent's threads
         out = run_script("""
             import os, signal, warnings
             import numpy as np

@@ -239,7 +239,8 @@ class TestSurrogateRegret:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.0 in row blocks; the whole batch's ten (15000, 37) arrays put this near 5.3
+        # 1.37 in row blocks (six (rows, 37) arrays plus the block's rows of X); the
+        # whole batch puts this near 3.2
         assert peak < 1.5 * CHUNK_ENTRIES * 8
 
     def test_dense_and_list_features_match_csr(self):

@@ -190,3 +190,32 @@ class TestPointwiseRegret:
         gap = regret - 2.0 * (sigmoid(us[None, :]) - qs[:, None]) ** 2
         assert STRONG_PROPERNESS == 4.0
         assert np.all(gap >= 0.0)
+
+    @staticmethod
+    def _four_loss_formula(q, u):
+        """The regret as four logistic_loss calls, the definition the in-place form keeps."""
+        q = np.asarray(q, dtype=np.float64)
+        best = logit_link(q)
+        val = q * (logistic_loss(1.0, u) - logistic_loss(1.0, best)) + (1.0 - q) * (
+            logistic_loss(-1.0, u) - logistic_loss(-1.0, best)
+        )
+        return val.item() if np.ndim(val) == 0 else val
+
+    def test_matches_the_four_loss_formula_byte_for_byte(self):
+        rng = np.random.default_rng(12)
+        u = rng.normal(scale=8.0, size=(5000, 37))
+        q = rng.random((5000, 37))
+        u.flat[:600] = np.repeat([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300], 100)
+        q.flat[::5] = np.resize([0.0, 1.0, 1e-13, 1.0 - 1e-13, 1e-300], q.flat[::5].size)
+        got = pointwise_binary_regret(q, u)
+        assert got.tobytes() == self._four_loss_formula(q, u).tobytes()
+        # broadcast and scalar inputs
+        for qs, us in [(q[:, :1], u[:1]), (0.3, u), (q, -0.0), (0.8, 0.0), (1e-13, 800.0)]:
+            got, want = pointwise_binary_regret(qs, us), self._four_loss_formula(qs, us)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("q, u", [(np.nan, 0.0), (0.5, np.inf), (0.5, np.nan)])
+    def test_non_finite_scores_or_means_rejected(self, q, u):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            pointwise_binary_regret(q, u)

@@ -184,14 +184,30 @@ class TestBinarySolver:
 
     @pytest.mark.parametrize("d", [4, NEWTON_MAX_DIM + 1])
     def test_non_finite_features_never_report_converged(self, d):
-        # Dataset rejects such input; the solvers themselves must not claim success
+        # the entry points reject such input; the solvers themselves must not claim success
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, d))
         X[2, 1] = np.nan
-        a = rng.integers(0, 2, size=30).astype(float)
-        _, report = fit_binary_logistic(sparse.csr_matrix(X), a, TrainConfig())
+        X = sparse.csr_matrix(X)
+        hits = rng.integers(0, 2, size=(30, 1)) == 1
+        cfg = TrainConfig()
+        _, (report,) = training._fit_columns(
+            X, training._logistic_objective(X, lambda block: hits[:, block], cfg),
+            training._newton_logistic, 1, 1, ["binary"], cfg)
         assert not report.converged
         assert not np.isfinite(report.grad_norm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_non_finite_features_rejected_before_any_solve(self, bad, form, monkeypatch):
+        X = np.ones((4, 3))
+        X[1, 2] = bad
+        if form == "csr":
+            X = sparse.csr_matrix(X)
+        T = np.array([[0.0], [1.0], [0.0], [1.0]])
+        monkeypatch.setattr(training, "_descent", None)
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            fit_logistic_columns(X, T, TrainConfig(), ["c"])
 
     def test_columns_match_one_column_fits_exactly(self):
         # batching columns changes no bit of any column's result
@@ -320,10 +336,10 @@ class TestLbfgsBlocks:
             assert reports[c] == report and report.converged
 
     @pytest.mark.parametrize("row_workers", [2], indirect=True)
-    @pytest.mark.parametrize("n, want", [(4, [(0, 2), (2, 4)]), (7, [(0, 3), (3, 6), (6, 7)])])
+    @pytest.mark.parametrize("n, want", [(4, [(0, 3), (3, 4)]), (7, [(0, 3), (3, 6), (6, 7)])])
     def test_two_workers_halve_the_width_within_the_budget(self, n, want, row_workers, monkeypatch):
         X, T, m, p = _lbfgs_problem(n)
-        # one worker would take blocks of 6 columns
+        # one worker would take blocks of 6 columns, so n = 4 would be one block
         budget = 6 * _lbfgs_column(m, p)
         monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
         blocks, histories = [], []
@@ -345,7 +361,6 @@ class TestLbfgsBlocks:
         assert all(r.converged for r in reports)
         assert blocks == want
         width = max(stop - start for start, stop in blocks)
-        assert width <= -(-n // 2)
         # two blocks at once hold their row arrays and histories, each its own
         assert 2 * width * _lbfgs_column(m, p) <= budget
         widths = [stop - start for start, stop in blocks]
@@ -421,7 +436,7 @@ class TestColumnBlocks:
                 patch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
             return fit(), sizes
 
-    def test_newton_logistic_blocks_match_one_block(self, monkeypatch):
+    def test_newton_logistic_blocks_match_one_block(self, row_workers, monkeypatch):
         data = _dense_dataset(np.random.default_rng(42), m=120, s=4, d=5)
         scfg = SurrogateConfig.full(4, B1)
         cfg = TrainConfig(reg_lambda=0.01)
@@ -431,9 +446,12 @@ class TestColumnBlocks:
 
         one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
         assert sizes == [17]
-        # three (m,) row arrays per binary column: two columns per block
-        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 2 * 3 * data.m)
-        assert sizes == [2] * 8 + [1]
+        # three (m,) row arrays per binary column: four columns' worth, shared by
+        # the workers, gives blocks of 4, 2 or 1 columns at 1, 2 or 4 workers;
+        # the threads finish them in any order
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * 3 * data.m)
+        want = {1: [1] + [4] * 4, 2: [1] + [2] * 8, 4: [1] * 17}[row_workers]
+        assert sorted(sizes) == want
         assert many.weights.tobytes() == one.weights.tobytes()
         assert many.reports == one.reports
         assert all(r.converged for r in one.reports)
@@ -456,6 +474,25 @@ class TestColumnBlocks:
         assert many.reports == one.reports
         assert all(r.converged for r in one.reports)
 
+    @pytest.mark.parametrize("row_workers", [2], indirect=True)
+    def test_newton_softmax_blocks_on_two_workers_match_one_block(self, row_workers,
+                                                                  monkeypatch):
+        data = _dense_dataset(np.random.default_rng(45), m=150, s=4, d=4)
+        C = 1 + len(data.observed_counts - {0})
+        cfg = TrainConfig(reg_lambda=0.01)
+
+        def fit():
+            return train_efp(data, cfg, B1)
+
+        one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
+        assert sizes == [1, 4]
+        # four tags' row arrays shared by two workers: two blocks of two tags side by side
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * 3 * data.m * C)
+        assert sorted(sizes) == [1, 2, 2]
+        assert many.weights.tobytes() == one.weights.tobytes()
+        assert many.reports == one.reports
+        assert all(r.converged for r in one.reports)
+
     def test_lbfgs_blocks_match_one_block(self, monkeypatch):
         data = _wide_dataset(np.random.default_rng(44), m=150, s=3)
         scfg = SurrogateConfig.full(3, B1)
@@ -466,7 +503,8 @@ class TestColumnBlocks:
             return train_surrogate(data, cfg, scfg)
 
         one, sizes = self._fit_counting_blocks(monkeypatch, fit, 1 << 30)
-        assert max(sizes) >= -(-10 // decoding._WORKERS)
+        # a problem that fits the budget is one block, whatever the worker count
+        assert sizes == [10]
         many, sizes = self._fit_counting_blocks(monkeypatch, fit, _lbfgs_column(data.m, p))
         assert sizes == [1] * 10
         assert many.weights.tobytes() == one.weights.tobytes()
@@ -836,6 +874,17 @@ class TestMultinomial:
             (w,), (report,) = train_multinomial(X, classes[:, c:c + 1], C, cfg, [names[c]])
             np.testing.assert_array_equal(weights[c], w)
             assert reports[c] == report and report.converged
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_non_finite_features_rejected_before_any_solve(self, bad, form, monkeypatch):
+        X = np.ones((4, 3))
+        X[1, 2] = bad
+        if form == "csr":
+            X = sparse.csr_matrix(X)
+        monkeypatch.setattr(training, "_descent", None)
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            train_multinomial(X, np.array([[0], [1], [2], [1]]), 3, TrainConfig(), ["tag"])
 
     def test_rejects_bad_class_indices(self):
         rng = np.random.default_rng(4)
