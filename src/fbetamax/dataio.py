@@ -88,9 +88,10 @@ def _parsed_blocks(fh, lineno: int, parse, rescan, *args):
 def _write_float_rows(fh, rows: np.ndarray) -> None:
     """Write one LF-terminated line of space-separated 17-digit floats per row,
     _BLOCK_ROWS rows at a time, so the text is never held whole."""
+    # one % call per row, with the same bytes as _fmt per value
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        fh.write("".join(" ".join(map(_fmt, row)) + "\n"
-                         for row in rows[lo:lo + _BLOCK_ROWS].tolist()))
+        fh.write("".join([line % tuple(row) for row in rows[lo:lo + _BLOCK_ROWS].tolist()]))
 
 
 def _tag_text(bits: np.ndarray) -> list[str]:
@@ -240,13 +241,14 @@ def save_dataset(data: Dataset, path) -> None:
             hi = min(lo + _BLOCK_ROWS, data.m)
             ptr = feats.indptr[lo:hi + 1]
             entries = slice(ptr[0], ptr[-1])
-            tokens = list(map("%d:%.17g".__mod__, zip(
-                (feats.indices[entries] + 1).tolist(), feats.data[entries].tolist())))
-            ends = (ptr - ptr[0]).tolist()
-            fh.write("".join(
-                f"{labels}\t{' '.join(tokens[a:b])}\n"
-                for labels, a, b in zip(_tag_text(data.bits[lo:hi]), ends, ends[1:])
-            ))
+            pairs = [None] * (2 * int(ptr[-1] - ptr[0]))
+            pairs[0::2] = (feats.indices[entries] + 1).tolist()
+            pairs[1::2] = feats.data[entries].tolist()
+            # the whole block is one % call; tag lists hold only digits and commas
+            counts = np.diff(ptr).tolist()
+            fmt = "".join([f"{labels}\t{(' %d:%.17g' * n)[1:]}\n"
+                           for labels, n in zip(_tag_text(data.bits[lo:hi]), counts)])
+            fh.write(fmt % tuple(pairs))
 
 
 def save_stat_probs(prob_rows: np.ndarray, s: int, path) -> None:

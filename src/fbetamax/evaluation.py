@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,8 +33,8 @@ DEFAULT_REG_GRID = tuple(10.0 ** e for e in range(-4, 4))
 
 # (rows, n) float arrays that one row block of surrogate_regret_estimate
 # keeps alive at once: its scores, its means at the n active coordinates,
-# and the four of pointwise_binary_regret.  Its rows of X come on top: at
-# s = 6, d = 100 the peak is 6.1 such arrays at 5% density, 8.2 dense.
+# and the four of pointwise_binary_regret.  The block's rows of X, a CSR
+# slice of 12 bytes per nonzero, count in its width too.
 _REGRET_ARRAYS = 6
 
 
@@ -182,8 +183,8 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     those coordinates come from prob_rows.  This is the plug-in estimate of
     the surrogate risk gap that feeds the regret transfer bound.  Rows are
     scored and summed one block at a time on this thread, each block's
-    (rows, n) arrays together about CHUNK_ENTRIES entries, so memory does
-    not grow with m.
+    (rows, n) arrays and rows of X together about CHUNK_ENTRIES entries,
+    so memory does not grow with m.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     flats = model.active_flats
@@ -192,7 +193,10 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     if X.shape[0] != m:
         raise ValueError("score and mean shapes differ")
     per_point = np.empty(m)
-    for rows in _slices(m, max(1, CHUNK_ENTRIES // (_REGRET_ARRAYS * len(flats)))):
+    # 1.5 entries per nonzero: a float64 value and an int32 index
+    nnz = X.nnz if sparse.issparse(X) else np.count_nonzero(X)
+    per_row = _REGRET_ARRAYS * len(flats) + math.ceil(1.5 * nnz / max(m, 1))
+    for rows in _slices(m, max(1, CHUNK_ENTRIES // per_row)):
         scores = model.score_rows(X[rows])
         q_active = prob_rows[rows, flats]
         if scores.shape != q_active.shape:

@@ -926,6 +926,35 @@ class TestBlockedFloatFormats:
         assert p.read_text() == "\n".join([f"#ml-q v1 s={s}"] + _oracle_float_lines(rows)) + "\n"
         assert _same_doubles(load_stat_probs(p), rows)
 
+    def test_writers_match_per_token_17_digit_text(self, tmp_path):
+        # B + 1 rows span two write blocks; row 1 has no features, and -0.0 is stored
+        values = [-0.0, 5e-324, 1e308]
+        m = B + 1
+        nnz = [3, 0] + [1 + i % 3 for i in range(m - 2)]
+        indptr = np.concatenate([[0], np.cumsum(nnz)])
+        X = sparse.csr_matrix((np.resize(values, indptr[-1]),
+                               np.concatenate([np.arange(k) * 2 for k in nnz]), indptr),
+                              shape=(m, 6))
+        bits = (np.arange(m * 2).reshape(m, 2) % 3 == 0).astype(np.uint8)
+        data = Dataset(s=2, d=6, features=X, labels=bits)
+        save_dataset(data, tmp_path / "a.mlsparse")
+        lines = ["#ml-sparse v1 s=2 d=6"]
+        for i in range(m):
+            tags = ",".join(str(j + 1) for j in range(2) if bits[i, j])
+            row = X.getrow(i)
+            pairs = " ".join("%d:%.17g" % (j + 1, v) for j, v in zip(row.indices, row.data))
+            lines.append(f"{tags}\t{pairs}")
+        assert (tmp_path / "a.mlsparse").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert lines[1].split("\t")[1].startswith("1:-0 ") and lines[2].endswith("\t")
+
+        rows = np.resize(values, (m, 5))
+        save_stat_probs(rows, 2, tmp_path / "a.mlq")
+        body = "".join(" ".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+        assert (tmp_path / "a.mlq").read_bytes() == ("#ml-q v1 s=2\n" + body).encode()
+        model = BrModel(s=m, d=4, weights=rows, bias=True, reg_lambda=0.5)
+        save_model(model, tmp_path / "a.mlmodel")
+        assert (tmp_path / "a.mlmodel").read_bytes().endswith(body.encode())
+
     @pytest.mark.parametrize("s", [0, -1])
     def test_stat_probs_reject_non_positive_s(self, tmp_path, s):
         p = tmp_path / "q.mlq"

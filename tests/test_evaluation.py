@@ -215,23 +215,24 @@ class TestSurrogateRegret:
 
     @pytest.mark.parametrize("m", [1, 49, 50, 51, 151])
     def test_row_blocks_match_the_whole_batch(self, m, monkeypatch):
-        # blocks of 50 rows: one row, a block less one, one block, one more, three blocks
+        # blocks of 50 rows: one row, a block less one, one block, one more, three blocks;
+        # a row of X holds four nonzeros, six entries
         rng = np.random.default_rng(5)
         model = _trained_surrogate(rng, s=3, d=4)
         n = len(model.active_flats)
-        monkeypatch.setattr(evaluation, "CHUNK_ENTRIES", evaluation._REGRET_ARRAYS * n * 50)
+        monkeypatch.setattr(evaluation, "CHUNK_ENTRIES", (evaluation._REGRET_ARRAYS * n + 6) * 50)
         X = sparse.csr_matrix(rng.normal(size=(m, 4)))
         rows = np.stack([random_valid_means(3, rng) for _ in range(m)])
         whole = pointwise_binary_regret(rows[:, model.active_flats], model.score_rows(X))
         assert surrogate_regret_estimate(model, X, rows) == float(np.mean(whole.sum(axis=1)))
 
-    def test_peak_memory_is_one_row_block(self):
+    @pytest.mark.parametrize("m, d", [(15000, 100), (5000, 500)])
+    def test_peak_memory_is_one_row_block(self, m, d):
         import tracemalloc
 
         rng = np.random.default_rng(6)
-        model = _trained_surrogate(rng, s=6, d=100)
-        m = 15000
-        X = sparse.csr_matrix(rng.normal(size=(m, 100)))
+        model = _trained_surrogate(rng, s=6, d=d)
+        X = sparse.csr_matrix(rng.normal(size=(m, d)))
         rows = rng.random((m, 37))
         tracemalloc.start()
         try:
@@ -239,8 +240,9 @@ class TestSurrogateRegret:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.37 in row blocks (six (rows, 37) arrays plus the block's rows of X); the
-        # whole batch puts this near 3.2
+        # 0.83 and 0.96 in row blocks sized for six (rows, 37) arrays plus the block's
+        # rows of X; 1.37 and 3.7 when the width counts the arrays alone, and the
+        # whole batch puts the first near 3.2
         assert peak < 1.5 * CHUNK_ENTRIES * 8
 
     def test_dense_and_list_features_match_csr(self):

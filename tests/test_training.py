@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -446,10 +448,11 @@ class TestColumnBlocks:
 
         one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
         assert sizes == [17]
-        # three (m,) row arrays per binary column: four columns' worth, shared by
-        # the workers, gives blocks of 4, 2 or 1 columns at 1, 2 or 4 workers;
-        # the threads finish them in any order
-        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * 3 * data.m)
+        # three (m,) row arrays and a p x p factor per binary column: four columns'
+        # worth, shared by the workers, gives blocks of 4, 2 or 1 columns at 1, 2 or
+        # 4 workers; the threads finish them in any order
+        p = data.d + 1
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * (3 * data.m + p * p))
         want = {1: [1] + [4] * 4, 2: [1] + [2] * 8, 4: [1] * 17}[row_workers]
         assert sorted(sizes) == want
         assert many.weights.tobytes() == one.weights.tobytes()
@@ -486,12 +489,46 @@ class TestColumnBlocks:
 
         one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
         assert sizes == [1, 4]
-        # four tags' row arrays shared by two workers: two blocks of two tags side by side
-        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * 3 * data.m * C)
+        # four tags' row arrays and (C-1)p x (C-1)p factors shared by two workers:
+        # two blocks of two tags side by side
+        side = (C - 1) * (data.d + 1)
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit,
+                                                4 * (3 * data.m * C + side * side))
         assert sorted(sizes) == [1, 2, 2]
         assert many.weights.tobytes() == one.weights.tobytes()
         assert many.reports == one.reports
         assert all(r.converged for r in one.reports)
+
+    def test_newton_blocks_cut_by_the_factor_alone_match_one_block(self, row_workers,
+                                                                  monkeypatch):
+        # eight softmax columns whose row arrays fit one block at 1, 2 and 4 workers,
+        # while their 63 x 63 factors cut them into blocks of 4, 2 and 1 columns
+        rng = np.random.default_rng(49)
+        m, d, C, n = 60, 20, 4, 8
+        X = rng.normal(size=(m, d))
+        classes = rng.integers(0, C, size=(m, n))
+        cfg = TrainConfig(reg_lambda=0.05)
+        rows = 3 * m * C
+        threads = []
+        descent = training._descent
+
+        def recording(evaluate, direction, dim, k, cfg):
+            threads.append(threading.get_ident())
+            return descent(evaluate, direction, dim, k, cfg)
+
+        def fit():
+            return train_multinomial(X, classes, C, cfg, [str(j) for j in range(n)])
+
+        one, sizes = self._fit_counting_blocks(monkeypatch, fit, None)
+        assert sizes == [n]
+        monkeypatch.setattr(training, "_descent", recording)
+        many, sizes = self._fit_counting_blocks(monkeypatch, fit, 4 * n * rows)
+        assert sizes == [4 // row_workers] * (2 * row_workers)
+        # in order on the calling thread
+        assert set(threads) == {threading.get_ident()}
+        assert many[0].tobytes() == one[0].tobytes()
+        assert many[1] == one[1]
+        assert all(r.converged for r in one[1])
 
     def test_lbfgs_blocks_match_one_block(self, monkeypatch):
         data = _wide_dataset(np.random.default_rng(44), m=150, s=3)
@@ -529,6 +566,28 @@ class TestBoundedMemory:
             tracemalloc.stop()
         return peak / (data.m * (data.s * data.s + 1) * 8)
 
+    @pytest.mark.parametrize("row_workers", [1, 4], indirect=True)
+    def test_softmax_factors_stay_in_the_budget(self, row_workers):
+        import tracemalloc
+
+        # eight 606 x 606 factors would take 2.8 budgets; blocks of two or one at
+        # 1 or 4 workers peak near 6.6 or 3.6 MB against the 8.4 MB budget
+        rng = np.random.default_rng(48)
+        m, d, C, n = 100, 100, 7, 8
+        X = rng.normal(size=(m, d))
+        classes = rng.integers(0, C, size=(m, n))
+        side = (C - 1) * (d + 1)
+        tracemalloc.start()
+        try:
+            _, reports = train_multinomial(X, classes, C, TrainConfig(reg_lambda=0.1),
+                                           [str(j) for j in range(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.converged for r in reports)
+        # the budget, plus one column's curvature temporaries, under one factor's size
+        assert peak < (training.LBFGS_BLOCK_ENTRIES + side * side) * 8
+
     def test_newton_path_at_s30(self):
         # 901 columns on dense features: about 0.39 in column blocks, 6.1 with the
         # whole statistic table, its target slice and one evaluation of every column
@@ -549,6 +608,59 @@ def test_feature_weights_are_the_contiguous_transpose(rows):
     W = model._feature_weights
     assert W.flags.c_contiguous
     assert W.tobytes() == np.ascontiguousarray(weights[:, :5].T).tobytes()
+
+
+class TestCachedNewton:
+    """Newton columns keep their Cholesky factor for several steps."""
+
+    @staticmethod
+    def _count_factorizations(monkeypatch, fit):
+        calls = []
+        factor = training.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(training, "cho_factor", counting)
+        reports = fit()
+        return len(calls), sum(r.iterations for r in reports)
+
+    def test_logistic_columns_factor_less_often_than_they_step(self, monkeypatch):
+        data = _dense_dataset(np.random.default_rng(50), m=200, s=3, d=8)
+        scfg = SurrogateConfig.full(3, B1)
+        calls, steps = self._count_factorizations(
+            monkeypatch, lambda: train_surrogate(data, TrainConfig(reg_lambda=1e-3), scfg).reports)
+        assert 0 < calls < steps
+
+    def test_softmax_blocks_factor_less_often_than_they_step(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        X, classes = rng.normal(size=(200, 6)), rng.integers(0, 4, size=(200, 3))
+        calls, steps = self._count_factorizations(
+            monkeypatch,
+            lambda: train_multinomial(X, classes, 4, TrainConfig(reg_lambda=1e-3), list("abc"))[1])
+        assert 0 < calls < steps
+
+    def test_singular_hessian_falls_back_to_least_squares(self, monkeypatch):
+        # without a ridge, a feature that is zero on every row leaves the Hessian
+        # singular; the column still converges, with that weight untouched
+        rng = np.random.default_rng(52)
+        X = np.hstack([rng.normal(size=(120, 3)), np.zeros((120, 1))])
+        a = (rng.random(120) < expit(X[:, 0] - X[:, 1])).astype(float)
+        cfg = TrainConfig(reg_lambda=0.0, grad_tol=1e-9)
+        singular = []
+        factor = training._CachedNewton._factor
+
+        def recording(self, c, w):
+            factor(self, c, w)
+            singular.append(bool(self.singular[c]))
+
+        monkeypatch.setattr(training._CachedNewton, "_factor", recording)
+        wb, report = fit_binary_logistic(sparse.csr_matrix(X), a, cfg)
+        assert singular and all(singular)
+        assert report.converged and wb[3] == 0.0
+        ref = newton_logistic(X[:, :3], a, 0.0, True)
+        np.testing.assert_allclose(np.delete(wb, 3), ref, atol=1e-7)
 
 
 class TestTrainConfig:
