@@ -22,6 +22,7 @@ from .training import (
     TrainConfig,
     _RowScorer,
     _shifted_softmax,
+    _Trained,
     _weight_rows,
     fit_logistic_columns,
     train_multinomial,
@@ -97,7 +98,7 @@ def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:
         d=data.d,
         beta=beta,
         counts=counts,
-        weights=weights,
+        weights=_Trained(weights),
         bias=cfg.bias,
         reg_lambda=cfg.reg_lambda,
         reports=tuple(reports),
@@ -135,7 +136,7 @@ def train_br(data: Dataset, cfg: TrainConfig) -> BrModel:
     return BrModel(
         s=data.s,
         d=data.d,
-        weights=weights,
+        weights=_Trained(weights),
         bias=cfg.bias,
         reg_lambda=cfg.reg_lambda,
         reports=tuple(reports),

@@ -10,6 +10,9 @@ kept alongside for cross-checking.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
 from collections import deque
@@ -133,6 +136,76 @@ def _run_slices(piece: Callable[[slice], None], slices: list[slice]) -> None:
         raise errors[min(errors)]
 
 
+# (get, set) thread-count functions exported by an OpenBLAS build: the plain
+# library, and the scipy-openblas copies that numpy's wheel (64-bit ints,
+# "64_" suffix) and scipy's wheel each bundle
+_OPENBLAS_THREADS = [(f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
+                     for lib in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+@functools.cache
+def _openblas_copies() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS copy mapped into this process.
+
+    Found once, on first use: numpy and scipy.linalg, whose copies these
+    are, are loaded by then, since importing the package imports both.
+    Without /proc/self/maps, or with another BLAS, there are none.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # a line's sixth field, when present, is the mapped file's path
+            paths = {fields[5].strip() for fields in (line.split(maxsplit=5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5].lower()}
+    except OSError:
+        return ()
+    copies = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not a loadable library, or no longer on disk
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            if hasattr(lib, get_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                copies.append((get, set_))
+                break
+    return tuple(copies)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list[tuple[Callable[[int], None], int]] = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS copy on one thread, whatever the environment says.
+
+    The workers of _run_slices already use the CPUs; OpenBLAS threads of
+    their own would contend with them, and a product's bits depend on how
+    OpenBLAS splits it, so a model would depend on OPENBLAS_NUM_THREADS.
+    The outermost of nested or concurrent entries sets each count to 1
+    and the last exit restores the saved counts.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _openblas_copies()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
+
+
 def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
     """Call piece(rows) on consecutive row slices that cover 0..m, through _run_slices.
 
@@ -143,7 +216,8 @@ def _map_rows(piece: Callable[[slice], None], m: int, s: int) -> None:
     step = chunk_rows(s)
     if m > step and _WORKERS > 1:
         step = max(1, step // _PIECES_PER_CHUNK)
-    _run_slices(piece, _slices(m, step))
+    with _one_blas_thread():
+        _run_slices(piece, _slices(m, step))
 
 
 def _check_means(chunk: np.ndarray) -> None:

@@ -133,7 +133,7 @@ def evaluate(pred: Sequence[LabelVec] | np.ndarray, truth: Sequence[LabelVec] | 
         raise ValueError("prediction and truth counts differ")
     if len(truth) == 0:
         raise ValueError("cannot evaluate an empty test set")
-    return evaluate_bits(_as_bit_matrix(pred), _as_bit_matrix(truth), beta)
+    return evaluate_bits(pred, truth, beta)
 
 
 def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaParam) -> float:

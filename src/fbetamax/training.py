@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import decoding
-from .decoding import _coeff_table, _decode_piece, _map_rows, _run_slices, _slices
+from .decoding import _coeff_table, _decode_piece, _map_rows, _one_blas_thread, _run_slices, _slices
 from .fmeasure import BetaParam, StatIndex
 from .losses import sigmoid_into
 from .surrogate import SurrogateConfig, _coordinate_targets, coordinates
@@ -163,9 +163,21 @@ def _as_feature_matrix(X, d: int | None = None) -> sparse.csr_matrix:
     return X
 
 
+class _Trained:
+    """Weights that a training entry point built for its model, to be kept uncopied."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+
 def _weight_rows(weights, rows: int, d: int) -> np.ndarray:
-    """A read-only float64 copy of weights, checked to be a finite (rows, d+1) matrix."""
-    weights = np.array(weights, dtype=np.float64)
+    """weights as a read-only float64 matrix, checked to be finite and (rows, d+1).
+
+    A caller's weights are copied, so the model shares no array with it;
+    the _Trained weights of a training entry point are kept as they are.
+    """
+    weights = (weights.rows if isinstance(weights, _Trained)
+               else np.array(weights, dtype=np.float64))
     if weights.shape != (rows, d + 1):
         raise ValueError(f"weights must have shape {(rows, d + 1)}, got {weights.shape}")
     if not np.all(np.isfinite(weights)):
@@ -777,11 +789,12 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
 
     share = LBFGS_BLOCK_ENTRIES // decoding._WORKERS
     blocks = _slices(n, max(1, share // (per_column + factor)))
-    if n <= share // per_column:
-        for block in blocks:
-            run(block)
-    else:
-        _run_slices(run, blocks)
+    with _one_blas_thread():
+        if n <= share // per_column:
+            for block in blocks:
+                run(block)
+        else:
+            _run_slices(run, blocks)
     reports = [SubproblemReport(name, float(f[c]), g, int(iters[c]), g <= cfg.grad_tol)
                for c, (name, g) in enumerate(zip(names, norms.tolist()))]
     return weights, reports
@@ -902,7 +915,7 @@ def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> L
         d=data.d,
         beta=scfg.beta,
         active_indices=scfg.active_indices,
-        weights=weights[:, 0],
+        weights=_Trained(weights[:, 0]),
         bias=cfg.bias,
         reg_lambda=cfg.reg_lambda,
         reports=tuple(reports),

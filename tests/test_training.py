@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -600,6 +601,33 @@ class TestBoundedMemory:
         data = _wide_dataset(np.random.default_rng(46), m=4000, s=30)
         assert self._peak_in_tables(data) < 1.0
 
+    @pytest.mark.parametrize("row_workers", [1, 4], indirect=True)
+    def test_models_keep_one_copy_of_their_weights(self, row_workers, monkeypatch):
+        # one-column blocks keep the solver's arrays small beside the (401, 1003)
+        # weights: the peak is about 1.2 weight matrices here, and 2.2 when the
+        # model copies the weights that the solve built
+        rng = np.random.default_rng(49)
+        m, s, d = 150, 20, NEWTON_MAX_DIM + 2
+        X = sparse.random(m, d, density=0.02, format="csr", random_state=np.random.RandomState(49))
+        data = Dataset(s=s, d=d, features=X, labels=(rng.random((m, s)) < 0.4).astype(np.uint8))
+        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", _lbfgs_column(m, d + 1))
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            model = train_surrogate(data, TrainConfig(max_iters=1), SurrogateConfig.full(s, B1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.weights.nbytes
+        assert not model.weights.flags.writeable
+
+    def test_weights_from_a_caller_are_copied(self):
+        weights = np.zeros((3, 5))
+        model = BrModel(s=3, d=4, weights=weights, bias=True, reg_lambda=0.0)
+        weights[0, 0] = 1.0
+        assert model.weights[0, 0] == 0.0
+
 
 @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
 def test_feature_weights_are_the_contiguous_transpose(rows):
@@ -661,6 +689,150 @@ class TestCachedNewton:
         assert report.converged and wb[3] == 0.0
         ref = newton_logistic(X[:, :3], a, 0.0, True)
         np.testing.assert_allclose(np.delete(wb, 3), ref, atol=1e-7)
+
+
+class TestOneBlasThread:
+    """Training and scoring compute on one BLAS thread, whatever the environment says."""
+
+    @staticmethod
+    def _copies():
+        copies = decoding._openblas_copies()
+        if not copies:
+            # a broken lookup must not pass as "no OpenBLAS here"
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            assert "openblas" not in blas
+            pytest.skip("no OpenBLAS copy is loaded")
+        return copies
+
+    @staticmethod
+    def _counts(copies) -> list[int]:
+        return [get() for get, _ in copies]
+
+    @pytest.fixture
+    def two_threads(self):
+        """Every OpenBLAS copy set to two threads; their counts before are restored after."""
+        copies = self._copies()
+        saved = self._counts(copies)
+        for _, set_ in copies:
+            set_(2)
+        try:
+            yield copies, self._counts(copies)
+        finally:
+            for (_, set_), count in zip(copies, saved):
+                set_(count)
+
+    def test_counts_are_one_inside_and_restored_after_training(self, two_threads, monkeypatch):
+        copies, before = two_threads
+        data = _dense_dataset(np.random.default_rng(51), m=60, s=3, d=5)
+        seen = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                seen.append(self._counts(copies))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        # the solver's blocks, and the row pieces of scoring (decoding._map_rows)
+        spy(training, "_descent")
+        spy(decoding, "_run_slices")
+        model = train_surrogate(data, TrainConfig(), SurrogateConfig.full(data.s, B1))
+        train_efp(data, TrainConfig(), B1)
+        model.predict_rows(data.features)
+        assert len(seen) > 2 and all(counts == [1] * len(copies) for counts in seen)
+        assert self._counts(copies) == before
+
+        def failing(*args, **kwargs):
+            seen.append(self._counts(copies))
+            raise RuntimeError("solver failed")
+
+        seen.clear()
+        monkeypatch.setattr(training, "_descent", failing)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            train_surrogate(data, TrainConfig(), SurrogateConfig.full(data.s, B1))
+        assert seen == [[1] * len(copies)]
+        assert self._counts(copies) == before
+
+    def test_nested_and_concurrent_entries_restore_once(self, two_threads):
+        copies, before = two_threads
+        with decoding._one_blas_thread():
+            with decoding._one_blas_thread():
+                pass
+            assert self._counts(copies) == [1] * len(copies)
+        assert self._counts(copies) == before
+
+        # more threads than CPUs, switching often: a lost update to the depth
+        # would restore the counts while another thread is still inside
+        wrong = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with decoding._one_blas_thread():
+                    if self._counts(copies) != [1] * len(copies):
+                        wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert self._counts(copies) == before
+
+    def test_nothing_is_set_without_an_openblas_copy(self, two_threads, monkeypatch):
+        copies, before = two_threads
+
+        def no_maps(*args, **kwargs):
+            raise FileNotFoundError("no /proc here")
+
+        monkeypatch.setattr(decoding, "open", no_maps, raising=False)
+        assert decoding._openblas_copies.__wrapped__() == ()
+        monkeypatch.setattr(decoding, "_openblas_copies", lambda: ())
+        with decoding._one_blas_thread():
+            assert self._counts(copies) == before
+        assert self._counts(copies) == before
+
+    def test_models_do_not_depend_on_openblas_num_threads(self):
+        # at m = 316, d = 100 the Newton Gram products and Cholesky factors
+        # round differently when OpenBLAS splits them over two threads
+        import os
+        import subprocess
+        import textwrap
+        from pathlib import Path
+
+        src = str(Path(training.__file__).resolve().parents[1])
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from scipy import sparse
+            from fbetamax import (BetaParam, Dataset, SurrogateConfig, TrainConfig, train_efp,
+                                  train_surrogate)
+            rng = np.random.default_rng(52)
+            X = rng.normal(size=(316, 100))
+            bits = (rng.random((316, 6)) < 1 / (1 + np.exp(-X[:, :6]))).astype(np.uint8)
+            data = Dataset(s=6, d=100, features=sparse.csr_matrix(X), labels=bits)
+            beta = BetaParam(1.0)
+            for model in (train_surrogate(data, TrainConfig(), SurrogateConfig.full(6, beta)),
+                          train_efp(data, TrainConfig(), beta)):
+                print(hashlib.sha256(model.weights.tobytes()).hexdigest())
+        """)
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=300, env=env)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 class TestTrainConfig:
