@@ -22,8 +22,9 @@ import numpy as np
 from scipy import sparse
 
 from .baselines import BrModel, EfpModel
+from .evaluation import _check_bits
 from .fmeasure import BetaParam, LabelVec, labelvec_rows
-from .training import Dataset, LinearModel
+from .training import Dataset, LinearModel, _Trained
 from .surrogate import SurrogateConfig
 
 __all__ = [
@@ -311,8 +312,12 @@ def save_predictions(bits, path) -> None:
     """One labeling per line as comma-separated 1-based active tags.
 
     bits is an (m, s) 0/1 matrix, as predict_rows returns, or a sequence of LabelVec.
+    A matrix that is not 2-d or holds other values raises ValueError before
+    the file is opened.
     """
-    if not isinstance(bits, np.ndarray):
+    if isinstance(bits, np.ndarray):
+        _check_bits(bits)
+    else:
         bits = np.array([y.bits for y in bits], dtype=np.uint8)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(bits), _BLOCK_ROWS):
@@ -429,7 +434,8 @@ def load_model(path, expected_algo: str | None = None):
     counts= or vectors= does not fit its algorithm.
 
     The body is read line by line into the model's preallocated weight
-    matrix, so the text of the file is never held whole.  Blank lines are
+    matrix, which the model then keeps uncopied, so neither the text of the
+    file nor a second copy of the weights is ever held.  Blank lines are
     skipped; a non-finite weight is rejected naming its line.
     """
     with _open_lines(path) as fh:
@@ -474,16 +480,17 @@ def load_model(path, expected_algo: str | None = None):
     if error is not None:
         raise DataFormatError(error)
     s, d, counts = fields["s"], fields["d"], fields["counts"]
+    weights = _Trained(rows)
     if fields["algo"] == "br":
-        return BrModel(s=s, d=d, weights=rows, bias=fields["bias"], reg_lambda=fields["reg"])
+        return BrModel(s=s, d=d, weights=weights, bias=fields["bias"], reg_lambda=fields["reg"])
     beta = BetaParam(fields["beta"])
     if fields["algo"] == "surrogate":
         return LinearModel(
             s=s, d=d, beta=beta, active_indices=SurrogateConfig(s, beta, counts).active_indices,
-            weights=rows, bias=fields["bias"], reg_lambda=fields["reg"],
+            weights=weights, bias=fields["bias"], reg_lambda=fields["reg"],
         )
     return EfpModel(
-        s=s, d=d, beta=beta, counts=counts, weights=rows,
+        s=s, d=d, beta=beta, counts=counts, weights=weights,
         bias=fields["bias"], reg_lambda=fields["reg"],
     )
 

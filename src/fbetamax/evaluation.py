@@ -84,13 +84,18 @@ def _cell(val) -> str:
     return f"{val:.12g}"
 
 
+def _check_bits(bits: np.ndarray) -> None:
+    """ValueError unless bits is a 2-d matrix of 0/1 values."""
+    if bits.ndim != 2:
+        raise ValueError("expected a 2-d bit matrix")
+    # checked before any cast, which would truncate 0.5 to 0
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("label values must be 0 or 1")
+
+
 def _as_bit_matrix(labelings: Sequence[LabelVec] | np.ndarray) -> np.ndarray:
     if isinstance(labelings, np.ndarray):
-        if labelings.ndim != 2:
-            raise ValueError("expected a 2-d bit matrix")
-        # checked before the cast, which would truncate 0.5 to 0
-        if not np.all((labelings == 0) | (labelings == 1)):
-            raise ValueError("label values must be 0 or 1")
+        _check_bits(labelings)
         return labelings.astype(np.int64)
     return np.array([y.bits for y in labelings], dtype=np.int64)
 
@@ -180,11 +185,12 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     """Mean over points of the summed per-coordinate pointwise regrets.
 
     The model supplies scores at its active coordinates; the true means at
-    those coordinates come from prob_rows.  This is the plug-in estimate of
-    the surrogate risk gap that feeds the regret transfer bound.  Rows are
-    scored and summed one block at a time on this thread, each block's
-    (rows, n) arrays and rows of X together about CHUNK_ENTRIES entries,
-    so memory does not grow with m.
+    those coordinates come from prob_rows, the (m, s^2+1) means of the
+    model's s tags, each checked to lie in [0, 1] as the decoder checks
+    them.  This is the plug-in estimate of the surrogate risk gap that
+    feeds the regret transfer bound.  Rows are scored and summed one block
+    at a time on this thread, each block's (rows, n) arrays and rows of X
+    together about CHUNK_ENTRIES entries, so memory does not grow with m.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     flats = model.active_flats
@@ -192,11 +198,15 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     X = X.tocsr() if sparse.issparse(X) else np.asarray(X)
     if X.shape[0] != m:
         raise ValueError("score and mean shapes differ")
+    width = model.s * model.s + 1
+    if prob_rows.shape != (m, width):
+        raise ValueError(f"expected means of shape ({m}, {width}), got {prob_rows.shape}")
     per_point = np.empty(m)
     # 1.5 entries per nonzero: a float64 value and an int32 index
     nnz = X.nnz if sparse.issparse(X) else np.count_nonzero(X)
     per_row = _REGRET_ARRAYS * len(flats) + math.ceil(1.5 * nnz / max(m, 1))
     for rows in _slices(m, max(1, CHUNK_ENTRIES // per_row)):
+        _check_means(prob_rows[rows])
         scores = model.score_rows(X[rows])
         q_active = prob_rows[rows, flats]
         if scores.shape != q_active.shape:

@@ -6,8 +6,9 @@ count-stratified baseline's s softmax blocks, one per tag, are all fit by
 one train_multinomial call.  Both go through one solver dispatch
 (_fit_columns) over one objective per loss (_logistic_objective,
 _softmax_objective): values and analytic gradients of any set of columns
-from one sparse product with X and one with its transpose, the bias being
-its own weight row.  Solvers differ only in the direction they feed to
+from one sparse product with the design and one with its transpose.  The
+design is built once per solve: X, with the bias as its last column, a
+column of ones.  Solvers differ only in the direction they feed to
 _descent, the shared per-column Armijo search and active set.  Both run
 over blocks of columns that fit LBFGS_BLOCK_ENTRIES, each block with its
 own targets, so memory does not grow with the number of columns.  Small
@@ -164,7 +165,7 @@ def _as_feature_matrix(X, d: int | None = None) -> sparse.csr_matrix:
 
 
 class _Trained:
-    """Weights that a training entry point built for its model, to be kept uncopied."""
+    """Weights that a training entry point or load_model built for its model, kept uncopied."""
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
@@ -174,7 +175,8 @@ def _weight_rows(weights, rows: int, d: int) -> np.ndarray:
     """weights as a read-only float64 matrix, checked to be finite and (rows, d+1).
 
     A caller's weights are copied, so the model shares no array with it;
-    the _Trained weights of a training entry point are kept as they are.
+    the _Trained weights of a training entry point or of load_model are
+    kept as they are.
     """
     weights = (weights.rows if isinstance(weights, _Trained)
                else np.array(weights, dtype=np.float64))
@@ -355,20 +357,6 @@ _MIN_STEP = 2.0**-40
 _MEMORY = 10
 
 
-def _use_newton(X: sparse.csr_matrix, unknowns: int, cfg: TrainConfig) -> bool:
-    """Damped Newton for small problems on dense enough features, L-BFGS otherwise."""
-    m, d = X.shape
-    p = d + int(cfg.bias)
-    nnz = X.nnz + m * int(cfg.bias)
-    return unknowns <= NEWTON_MAX_DIM and nnz >= NEWTON_MIN_DENSITY * m * p
-
-
-def _dense_design(X: sparse.csr_matrix, bias: bool) -> np.ndarray:
-    """X as a dense array, with a trailing column of ones when the bias is fit."""
-    dense = X.toarray()
-    return np.hstack([dense, np.ones((len(dense), 1))]) if bias else dense
-
-
 def _column_sums(A: np.ndarray) -> np.ndarray:
     """Per-column sums, each reduced in the same order whatever columns share A."""
     return np.ascontiguousarray(A.T).sum(axis=1)
@@ -422,25 +410,24 @@ def _descent(evaluate, direction, dim: int, n: int, cfg: TrainConfig):
     return W, f, G, iters
 
 
-def _logistic_objective(X: sparse.csr_matrix, targets, cfg: TrainConfig):
-    """objective(block): _descent's evaluate over the columns in block, bias last in W.
+def _logistic_objective(A: sparse.csr_matrix, d: int, targets, cfg: TrainConfig):
+    """objective(block): _descent's evaluate over the columns in block, one weight per column of A.
 
-    Each column's value is its ridge-penalized mean logistic loss;
-    targets(block) gives the block's (m, width) 0/1 targets as a bool
-    matrix, built once per block.  An evaluation keeps three (m, k) float
-    arrays alive at once (_ROW_ARRAYS).
+    Each column's value is its mean logistic loss plus the ridge on its
+    weights over the first d columns of the design A.  targets(block)
+    gives the block's (m, width) 0/1 targets as a bool matrix, built once
+    per block.  An evaluation keeps three (m, k) float arrays alive at once
+    (_ROW_ARRAYS).
     """
-    m, d = X.shape
-    Xt = X.T.tocsr()
+    m = A.shape[0]
+    At = A.T.tocsr()
     lam = cfg.reg_lambda
 
     def objective(block: slice):
         T = targets(block)
 
         def evaluate(W, cols):
-            Z = X @ W[:d]
-            if cfg.bias:
-                Z += W[d]
+            Z = A @ W
             t = T[:, cols]
             # max(0, -margin) of the +-1 labels, exactly, as max(0, z) - t*z for 0/1 targets t
             loss = np.maximum(Z, 0.0)
@@ -456,11 +443,8 @@ def _logistic_objective(X: sparse.csr_matrix, targets, cfg: TrainConfig):
             R = sigmoid_into(Z, out=loss)
             R -= t
             R /= m
-            G = np.empty_like(W)
-            G[:d] = Xt @ R
+            G = At @ R
             G[:d] += lam * W[:d]
-            if cfg.bias:
-                G[d] = _column_sums(R)
             return f, G
 
         return evaluate
@@ -481,16 +465,17 @@ def _shifted_softmax(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, np.log(sums[..., 0])
 
 
-def _softmax_objective(X: sparse.csr_matrix, classes: np.ndarray, C: int, cfg: TrainConfig):
+def _softmax_objective(A: sparse.csr_matrix, d: int, classes: np.ndarray, C: int,
+                       cfg: TrainConfig):
     """objective(block): _descent's evaluate over the columns of class indices in block.
 
-    Each column's value is its ridge-penalized mean cross-entropy.  An
-    evaluation keeps two (m, k, C) arrays and a few (m, k) ones alive at
-    once, within _ROW_ARRAYS (m, C) arrays per column.
+    Each column's value is its mean cross-entropy plus the ridge on its
+    class rows over the first d columns of the design A.  An evaluation
+    keeps two (m, k, C) arrays and a few (m, k) ones alive at once, within
+    _ROW_ARRAYS (m, C) arrays per column.
     """
-    m, d = X.shape
-    p = d + int(cfg.bias)
-    Xt = X.T.tocsr()
+    m, p = A.shape
+    At = A.T.tocsr()
     rows = np.arange(m)[:, None]
     lam = cfg.reg_lambda
 
@@ -502,9 +487,7 @@ def _softmax_objective(X: sparse.csr_matrix, classes: np.ndarray, C: int, cfg: T
             V = W.reshape(C, p, k)
             Vd = V[:, :d]
             # (m, column, class) scores: each column's C weight vectors side by side
-            Z = (X @ Vd.transpose(1, 2, 0).reshape(d, k * C)).reshape(m, k, C)
-            if cfg.bias:
-                Z += V[:, d].T
+            Z = (A @ V.transpose(1, 2, 0).reshape(p, k * C)).reshape(m, k, C)
             P, log_sums = _shifted_softmax(Z)
             # each row's class in every column; each column's ridge sums one C*d row
             at = (rows, np.arange(k), block_classes[:, cols])
@@ -512,10 +495,8 @@ def _softmax_objective(X: sparse.csr_matrix, classes: np.ndarray, C: int, cfg: T
                  + 0.5 * lam * _column_sums((Vd * Vd).reshape(C * d, k)))
             P[at] -= 1.0
             P /= m
-            G = np.empty((C, p, k))
-            G[:, :d] = (Xt @ P.reshape(m, k * C)).reshape(d, k, C).transpose(2, 0, 1) + lam * Vd
-            if cfg.bias:
-                G[:, d] = P.sum(axis=0).T
+            G = (At @ P.reshape(m, k * C)).reshape(p, k, C).transpose(2, 0, 1)
+            G[:, :d] += lam * Vd
             return f, G.reshape(C * p, k)
 
         return evaluate
@@ -607,13 +588,12 @@ def _spare_or_new(spare: list, side: int) -> np.ndarray:
         return np.empty((side, side))
 
 
-def _newton_logistic(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig):
+def _newton_logistic(dense: np.ndarray, reg: np.ndarray):
     """Per-block Newton directions (_CachedNewton) of _logistic_objective: p x p Hessians.
 
     Each column's curvature comes from its current weights through one
     matrix-vector product with the dense design.
     """
-    dense = _dense_design(X, cfg.bias)
     m, p = dense.shape
     diag = np.diag_indices(p)
 
@@ -634,7 +614,7 @@ def _sum_zero_basis(C: int) -> np.ndarray:
     return basis / np.sqrt(k * (k + 1))
 
 
-def _newton_softmax(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig, C: int):
+def _newton_softmax(dense: np.ndarray, reg: np.ndarray, C: int):
     """Per-block Newton directions (_CachedNewton) of _softmax_objective.
 
     Shifting every class by one weight vector leaves the softmax unchanged,
@@ -643,7 +623,6 @@ def _newton_softmax(X: sparse.csr_matrix, reg: np.ndarray, cfg: TrainConfig, C: 
     coordinates E in the sum-zero subspace, W = basis @ E, where the
     Hessian has no null directions.
     """
-    dense = _dense_design(X, cfg.bias)
     m, p = dense.shape
     k = C - 1
     basis = _sum_zero_basis(C)
@@ -740,16 +719,18 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
                  cfg: TrainConfig) -> tuple[np.ndarray, list[SubproblemReport]]:
     """The one solver dispatch: n parameter columns of C weight rows each, over the rows of X.
 
-    objective(block) is _descent's evaluate over the columns in the slice
-    block.  Each block of columns runs _descent on its own.  Small problems
-    on dense features take damped Newton directions from the per-block
-    objects of newton(X, reg, cfg)(k) (see NEWTON_MAX_DIM), which end with
-    their finish step; the others take batched L-BFGS directions.  At w
-    row workers a block holds at most LBFGS_BLOCK_ENTRIES / w entries, so
-    the blocks, one per worker at once (decoding._run_slices), keep that
-    budget together.  A problem whose row arrays fit one block runs its
-    blocks in order on this thread.  Returns (n, C, d+1) weights, bias
-    last, and one report per column.
+    The design A, X with a last column of ones when the bias is fit, is
+    built once here and shared: objective(A, d)(block) is _descent's
+    evaluate over the columns in the slice block, whose ridge covers the d
+    columns of X.  Each block of columns runs _descent on its own.  Small
+    problems on a dense design take damped Newton directions from the
+    per-block objects of newton(A.toarray(), reg)(k) (see NEWTON_MAX_DIM),
+    which end with their finish step; the others take batched L-BFGS
+    directions.  At w row workers a block holds at most
+    LBFGS_BLOCK_ENTRIES / w entries, so the blocks, one per worker at once
+    (decoding._run_slices), keep that budget together.  A problem whose row
+    arrays fit one block runs its blocks in order on this thread.  Returns
+    (n, C, d+1) weights, bias last, and one report per column.
     """
     m, d = X.shape
     if m == 0:
@@ -757,15 +738,17 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
     names = [str(name) for name in names]
     if len(names) != n:
         raise ValueError("one name per target column is required")
+    A = sparse.hstack([X, sparse.csr_matrix(np.ones((m, 1)))], format="csr") if cfg.bias else X
+    p = A.shape[1]
+    block_objective = objective(A, d)
     # per-weight L2 multipliers of a class row: reg_lambda on the d features, none on the bias
-    reg = np.where(np.arange(d + int(cfg.bias)) < d, cfg.reg_lambda, 0.0)
-    p = reg.size
+    reg = np.where(np.arange(p) < d, cfg.reg_lambda, 0.0)
     dim = C * p
     # entries a column holds while its block runs: see LBFGS_BLOCK_ENTRIES
     per_column = _ROW_ARRAYS * m * C
-    newton_path = _use_newton(X, dim, cfg)
+    newton_path = dim <= NEWTON_MAX_DIM and A.nnz >= NEWTON_MIN_DENSITY * m * p
     if newton_path:
-        directions = newton(X, reg, cfg)
+        directions = newton(A.toarray(), reg)
         factor = (max(C - 1, 1) * p) ** 2
     else:
         directions = partial(_LimitedMemory, dim=dim)
@@ -779,7 +762,7 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
 
     def run(block: slice) -> None:
         k = block.stop - block.start
-        evaluate, direction = objective(block), directions(k)
+        evaluate, direction = block_objective(block), directions(k)
         W, f_k, G, iters_k = _descent(evaluate, direction, dim, k, cfg)
         if newton_path:
             direction.finish(evaluate, W, f_k, G, iters_k, cfg)
@@ -817,8 +800,9 @@ def fit_logistic_columns(
     if not np.all((T == 0.0) | (T == 1.0)):
         raise ValueError("binary targets must be 0 or 1")
     hits = T == 1.0
-    weights, reports = _fit_columns(X, _logistic_objective(X, lambda block: hits[:, block], cfg),
-                                    _newton_logistic, 1, T.shape[1], names, cfg)
+    weights, reports = _fit_columns(
+        X, partial(_logistic_objective, targets=lambda block: hits[:, block], cfg=cfg),
+        _newton_logistic, 1, T.shape[1], names, cfg)
     return weights[:, 0], reports
 
 
@@ -907,8 +891,8 @@ def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> L
         return _coordinate_targets(data.bits, counts, flats[block])
 
     weights, reports = _fit_columns(
-        data.features, _logistic_objective(data.features, targets, cfg), _newton_logistic, 1,
-        len(flats), [str(ix) for ix in scfg.active_indices], cfg
+        data.features, partial(_logistic_objective, targets=targets, cfg=cfg), _newton_logistic,
+        1, len(flats), [str(ix) for ix in scfg.active_indices], cfg
     )
     return LinearModel(
         s=data.s,
@@ -941,9 +925,9 @@ def train_multinomial(
         raise ValueError("class indices must be integers")
     if not np.all((classes >= 0) & (classes < n_classes)):
         raise ValueError(f"class indices must lie in 0..{n_classes - 1}")
-    return _fit_columns(X, _softmax_objective(X, classes.astype(np.intp), n_classes, cfg),
-                        partial(_newton_softmax, C=n_classes), n_classes, classes.shape[1],
-                        names, cfg)
+    return _fit_columns(
+        X, partial(_softmax_objective, classes=classes.astype(np.intp), C=n_classes, cfg=cfg),
+        partial(_newton_softmax, C=n_classes), n_classes, classes.shape[1], names, cfg)
 
 
 def multinomial_prob_rows(weights: np.ndarray, X, bias: bool = True) -> np.ndarray:

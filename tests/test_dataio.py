@@ -213,6 +213,22 @@ class TestPredictions:
         save_predictions([LabelVec(tuple(row)) for row in bits.tolist()], b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+    def test_non_bit_values_rejected_before_writing(self, tmp_path, bad):
+        # each was once written as an active tag
+        bits = np.zeros((2, 3))
+        bits[1, 2] = bad
+        p = tmp_path / "pred.txt"
+        with pytest.raises(ValueError, match="0 or 1"):
+            save_predictions(bits, p)
+        assert not p.exists()
+
+    def test_one_dimensional_bits_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        with pytest.raises(ValueError, match="2-d"):
+            save_predictions(np.array([1, 0, 1], dtype=np.uint8), p)
+        assert not p.exists()
+
     def test_bad_token(self, tmp_path):
         p = tmp_path / "bad.txt"
         _write(p, "1,x\n")
@@ -276,6 +292,24 @@ class TestModelRoundTrip:
         assert np.array_equal(back.weights, model.weights)
         X = rng.normal(size=(20, 4))
         np.testing.assert_array_equal(back.predict_rows(X), model.predict_rows(X))
+
+    def test_loading_keeps_one_copy_of_the_weights(self, tmp_path):
+        # the peak is about one weight matrix; 2.13 when the model copied the matrix the
+        # parse had filled
+        weights = np.random.default_rng(8).normal(size=(400, 2001))
+        p = tmp_path / "m.txt"
+        save_model(BrModel(s=400, d=2000, weights=weights, bias=True, reg_lambda=0.0), p)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            back = load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * weights.nbytes
+        assert np.array_equal(back.weights, weights)
+        assert not back.weights.flags.writeable
 
     def test_algo_mismatch(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -174,14 +174,15 @@ class TestExpectedFQuantities:
 
 
 class _FixedScorer:
-    """Duck-typed stand-in for a model: fixed scores over given coordinates.
+    """Duck-typed stand-in for a model of s tags: fixed scores over given coordinates.
 
     Its "features" are row numbers: score_rows(ids) returns the fixed scores of rows ids.
     """
 
-    def __init__(self, scores: np.ndarray, flats: np.ndarray):
+    def __init__(self, scores: np.ndarray, flats: np.ndarray, s: int):
         self._scores = scores
         self.active_flats = flats
+        self.s = s
 
     def score_rows(self, X) -> np.ndarray:
         return self._scores[X]
@@ -200,7 +201,7 @@ class TestSurrogateRegret:
         s = 3
         rows = np.stack([random_valid_means(s, rng) for _ in range(10)])
         flats = np.arange(s * s + 1)
-        model = _FixedScorer(logit_link(rows), flats)
+        model = _FixedScorer(logit_link(rows), flats, s)
         assert surrogate_regret_estimate(model, np.arange(10), rows) == pytest.approx(
             0.0, abs=1e-10
         )
@@ -210,7 +211,7 @@ class TestSurrogateRegret:
         s = 2
         rows = np.stack([random_valid_means(s, rng) for _ in range(10)])
         flats = np.arange(s * s + 1)
-        model = _FixedScorer(np.zeros((10, s * s + 1)), flats)
+        model = _FixedScorer(np.zeros((10, s * s + 1)), flats, s)
         assert surrogate_regret_estimate(model, np.arange(10), rows) > 0.01
 
     @pytest.mark.parametrize("m", [1, 49, 50, 51, 151])
@@ -256,15 +257,42 @@ class TestSurrogateRegret:
         assert surrogate_regret_estimate(model, sparse.coo_matrix(X), rows) == want
 
     def test_row_count_mismatch_rejected(self):
-        model = _FixedScorer(np.zeros((4, 3)), np.arange(3))
+        model = _FixedScorer(np.zeros((4, 3)), np.arange(3), 2)
         with pytest.raises(ValueError, match="shapes"):
             surrogate_regret_estimate(model, np.arange(4), np.zeros((3, 5)))
 
     def test_shape_mismatch_rejected(self):
         # scorer claims 3 active coordinates but emits only 2 columns
-        model = _FixedScorer(np.zeros((3, 2)), np.arange(3))
+        model = _FixedScorer(np.zeros((3, 2)), np.arange(3), 2)
         with pytest.raises(ValueError, match="shapes"):
             surrogate_regret_estimate(model, np.arange(3), np.zeros((3, 5)))
+
+    @staticmethod
+    def _valid_inputs():
+        """A model of s = 3 tags, 6 rows of features and their (6, 10) valid means."""
+        rng = np.random.default_rng(8)
+        model = _trained_surrogate(rng, s=3, d=4)
+        X = sparse.csr_matrix(rng.normal(size=(6, 4)))
+        rows = np.stack([random_valid_means(3, rng) for _ in range(6)])
+        return model, X, rows
+
+    @pytest.mark.parametrize("width", [13, 9], ids=["extra columns", "missing column"])
+    def test_means_of_another_width_rejected(self, width):
+        # three extra columns once returned the value of the first ten; too few raised IndexError
+        model, X, rows = self._valid_inputs()
+        wide = np.hstack([rows, np.full((6, 3), 0.5)])
+        with pytest.raises(ValueError, match=r"expected means of shape \(6, 10\)"):
+            surrogate_regret_estimate(model, X, wide[:, :width])
+
+    @pytest.mark.parametrize("bad, match",
+                             [(1.5, r"lie in \[0, 1\]"), (np.nan, "means must be finite")],
+                             ids=["above one", "nan"])
+    def test_means_outside_the_unit_interval_rejected(self, bad, match):
+        # 1.5 once returned a value, and NaN was reported as a non-finite score
+        model, X, rows = self._valid_inputs()
+        rows[2, 4] = bad
+        with pytest.raises(ValueError, match=match):
+            surrogate_regret_estimate(model, X, rows)
 
 
 class TestTransferBound:

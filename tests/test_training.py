@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestBinarySolver:
         hits = rng.integers(0, 2, size=(30, 1)) == 1
         cfg = TrainConfig()
         _, (report,) = training._fit_columns(
-            X, training._logistic_objective(X, lambda block: hits[:, block], cfg),
+            X, partial(training._logistic_objective, targets=lambda block: hits[:, block], cfg=cfg),
             training._newton_logistic, 1, 1, ["binary"], cfg)
         assert not report.converged
         assert not np.isfinite(report.grad_norm)
@@ -379,8 +380,8 @@ class TestLbfgsBlocks:
         want, want_reports = fit_logistic_columns(X, T, cfg, names)
         objective = training._logistic_objective
 
-        def failing_objective(X, targets, cfg):
-            block_objective = objective(X, targets, cfg)
+        def failing_objective(A, d, targets, cfg):
+            block_objective = objective(A, d, targets, cfg)
 
             def checked_block(block):
                 evaluate = block_objective(block)
@@ -689,6 +690,43 @@ class TestCachedNewton:
         assert report.converged and wb[3] == 0.0
         ref = newton_logistic(X[:, :3], a, 0.0, True)
         np.testing.assert_allclose(np.delete(wb, 3), ref, atol=1e-7)
+
+
+class TestBiasColumn:
+    """The bias is the design's last column: a column of ones, free of the ridge.
+
+    At reg_lambda = 0 a bias-on fit on X is the same solve as a bias-off fit
+    on [X | 1], byte for byte, whether or not it has converged.
+    """
+
+    @staticmethod
+    def _features(d: int):
+        rng = np.random.default_rng(51)
+        X = rng.normal(size=(60, d))
+        return rng, X, np.hstack([X, np.ones((60, 1))])
+
+    @pytest.mark.parametrize("d", [5, NEWTON_MAX_DIM], ids=["newton", "lbfgs"])
+    def test_logistic_columns(self, d):
+        rng, X, design = self._features(d)
+        T = rng.random((60, 3)) < 0.4
+        names = ["a", "b", "c"]
+        on, on_reports = fit_logistic_columns(X, T, TrainConfig(reg_lambda=0.0, max_iters=5), names)
+        off, off_reports = fit_logistic_columns(
+            design, T, TrainConfig(reg_lambda=0.0, max_iters=5, bias=False), names)
+        assert on.tobytes() == off[:, :d + 1].tobytes()
+        assert on_reports == off_reports
+
+    @pytest.mark.parametrize("d", [5, NEWTON_MAX_DIM], ids=["newton", "lbfgs"])
+    def test_softmax_blocks(self, d):
+        rng, X, design = self._features(d)
+        classes = rng.integers(0, 3, size=(60, 2))
+        names = ["a", "b"]
+        on, on_reports = train_multinomial(X, classes, 3, TrainConfig(reg_lambda=0.0, max_iters=5),
+                                           names)
+        off, off_reports = train_multinomial(
+            design, classes, 3, TrainConfig(reg_lambda=0.0, max_iters=5, bias=False), names)
+        assert on.tobytes() == off[:, :, :d + 1].tobytes()
+        assert on_reports == off_reports
 
 
 class TestOneBlasThread:
