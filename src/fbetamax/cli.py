@@ -36,7 +36,8 @@ CONSISTENCY_CSV_COLUMNS = (
     "bound_ok",
 )
 
-# ridge strength for the fixed-reg learning-curve runs
+# the learning-curve runs score F1 and fit with this fixed ridge strength
+_CONSISTENCY_BETA = BetaParam(1.0)
 _CONSISTENCY_REG = 1e-4
 
 
@@ -70,8 +71,6 @@ def run_consistency(
     test_size: int = 15000,
     s: int = 6,
     d: int = 100,
-    beta: BetaParam = BetaParam(1.0),
-    reg_lambda: float = _CONSISTENCY_REG,
     support: str = "full",
 ) -> list[ConsistencyRow]:
     """Train all three algorithms along a size ladder on one synthetic task.
@@ -82,12 +81,13 @@ def run_consistency(
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive")
+    beta = _CONSISTENCY_BETA
     dist = build_distribution(seed, s=s, d=d, support=support)
     test = sample_batch(dist, test_size, stream=1)
     test_X = sparse.csr_matrix(test.features)
     f1_bayes = evaluation.bayes_f(test.stat_probs, s, beta)
     train_all = sample_batch(dist, max(sizes), stream=0)
-    cfg = TrainConfig(reg_lambda=reg_lambda, bias=False)
+    cfg = TrainConfig(reg_lambda=_CONSISTENCY_REG, bias=False)
     rows = []
     for m in sizes:
         sub = Dataset(

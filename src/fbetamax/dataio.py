@@ -253,10 +253,12 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def save_stat_probs(prob_rows: np.ndarray, s: int, path) -> None:
-    """Write a sidecar of true statistic means, one point per line."""
+    """Write a sidecar of true statistic means, one point per line, checked before writing."""
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     if prob_rows.ndim != 2 or prob_rows.shape[1] != s * s + 1:
         raise ValueError(f"expected shape (m, {s * s + 1})")
+    if not np.all(np.isfinite(prob_rows)):
+        raise ValueError("statistic means must be finite")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{_SIDE_MAGIC} s={s}\n")
         _write_float_rows(fh, prob_rows)

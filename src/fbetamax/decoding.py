@@ -43,8 +43,12 @@ TIE_RTOL = 1e-12
 # enumeration guard: 2^20 candidates is the largest the oracle will scan
 MAX_BRUTE_S = 20
 
-# decode_rows, model scoring and mean_expected_f work on row chunks of about
-# this many statistic entries (s^2+1 per row), 8 MB per float64 temporary.
+# The one memory budget, read at call time; 8 MB per float64 array.  A row
+# piece of decode_rows, model scoring or mean_expected_f counts s^2+1
+# statistic entries per row; the column blocks of training._fit_columns that
+# run at once count each column's arrays (see _ROW_ARRAYS there); a regret
+# block of surrogate_regret_estimate counts _REGRET_ARRAYS per coordinate and
+# 1.5 per nonzero of its rows of X (a float64 value and an int32 index).
 # One chunk stays whole on the calling thread: cutting fit-s6's single
 # chunk (15000 rows at s = 6) into two pieces on two threads raised its
 # peak memory from 151-152 to 184 MB and cut its rows/s from 85-89 to

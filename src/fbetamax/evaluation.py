@@ -9,7 +9,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .decoding import CHUNK_ENTRIES, _check_means, _map_rows, _slices, decode_rows
+from . import decoding
+from .decoding import _check_means, _map_rows, _slices, decode_rows
 from .fmeasure import BetaParam, LabelVec, _loss_coeffs_rows
 from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
@@ -33,14 +34,15 @@ DEFAULT_REG_GRID = tuple(10.0 ** e for e in range(-4, 4))
 
 # (rows, n) float arrays that one row block of surrogate_regret_estimate
 # keeps alive at once: its scores, its means at the n active coordinates,
-# and the four of pointwise_binary_regret.  The block's rows of X, a CSR
-# slice of 12 bytes per nonzero, count in its width too.
+# and the four of pointwise_binary_regret
 _REGRET_ARRAYS = 6
+# rounding that check_regret_bound forgives an F-regret above its bound
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Test-set summary; the regret fields are filled only when true means are known."""
+    """Test-set summary; evaluate leaves the regret fields None; they stay as report columns."""
 
     m_test: int
     mean_f: float
@@ -136,8 +138,6 @@ def evaluate(pred: Sequence[LabelVec] | np.ndarray, truth: Sequence[LabelVec] | 
     """
     if len(pred) != len(truth):
         raise ValueError("prediction and truth counts differ")
-    if len(truth) == 0:
-        raise ValueError("cannot evaluate an empty test set")
     return evaluate_bits(pred, truth, beta)
 
 
@@ -189,8 +189,8 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     model's s tags, each checked to lie in [0, 1] as the decoder checks
     them.  This is the plug-in estimate of the surrogate risk gap that
     feeds the regret transfer bound.  Rows are scored and summed one block
-    at a time on this thread, each block's (rows, n) arrays and rows of X
-    together about CHUNK_ENTRIES entries, so memory does not grow with m.
+    at a time on this thread, each block within decoding.CHUNK_ENTRIES, so
+    memory does not grow with m.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
     flats = model.active_flats
@@ -201,11 +201,12 @@ def surrogate_regret_estimate(model, X, prob_rows: np.ndarray) -> float:
     width = model.s * model.s + 1
     if prob_rows.shape != (m, width):
         raise ValueError(f"expected means of shape ({m}, {width}), got {prob_rows.shape}")
+    if m == 0:
+        raise ValueError("cannot evaluate an empty test set")
     per_point = np.empty(m)
-    # 1.5 entries per nonzero: a float64 value and an int32 index
     nnz = X.nnz if sparse.issparse(X) else np.count_nonzero(X)
-    per_row = _REGRET_ARRAYS * len(flats) + math.ceil(1.5 * nnz / max(m, 1))
-    for rows in _slices(m, max(1, CHUNK_ENTRIES // per_row)):
+    per_row = _REGRET_ARRAYS * len(flats) + math.ceil(1.5 * nnz / m)
+    for rows in _slices(m, max(1, decoding.CHUNK_ENTRIES // per_row)):
         _check_means(prob_rows[rows])
         scores = model.score_rows(X[rows])
         q_active = prob_rows[rows, flats]
@@ -228,11 +229,11 @@ def regret_transfer_bound(psi_regret: float, s: int, beta: BetaParam) -> float:
     return scale * np.sqrt(2.0 * (np.log(s) + 1.0) / STRONG_PROPERNESS * psi_regret)
 
 
-def check_regret_bound(f_regret: float, psi_regret: float, s: int, beta: BetaParam,
-                       slack: float = 1e-9) -> tuple[float, bool]:
-    """Evaluate the transfer bound and whether the measured F-regret obeys it."""
+def check_regret_bound(f_regret: float, psi_regret: float, s: int,
+                       beta: BetaParam) -> tuple[float, bool]:
+    """Evaluate the transfer bound and whether the measured F-regret obeys it within _SLACK."""
     bound = regret_transfer_bound(psi_regret, s, beta)
-    return bound, bool(f_regret <= bound + slack)
+    return bound, bool(f_regret <= bound + _SLACK)
 
 
 def _fold_slices(m: int, folds: int, seed: int) -> list[np.ndarray]:

@@ -10,8 +10,8 @@ from one sparse product with the design and one with its transpose.  The
 design is built once per solve: X, with the bias as its last column, a
 column of ones.  Solvers differ only in the direction they feed to
 _descent, the shared per-column Armijo search and active set.  Both run
-over blocks of columns that fit LBFGS_BLOCK_ENTRIES, each block with its
-own targets, so memory does not grow with the number of columns.  Small
+over blocks of columns that fit decoding.CHUNK_ENTRIES, each block with
+its own targets, so memory does not grow with the number of columns.  Small
 problems on dense features (NEWTON_MAX_DIM, NEWTON_MIN_DENSITY) take
 damped Newton directions, each column keeping its Cholesky factor for
 _REFACTOR steps (Shamanskii's modified Newton); the rest take batched
@@ -41,7 +41,6 @@ from .surrogate import SurrogateConfig, _coordinate_targets, coordinates
 
 __all__ = [
     "Dataset",
-    "LBFGS_BLOCK_ENTRIES",
     "LinearModel",
     "NEWTON_MAX_DIM",
     "NEWTON_MIN_DENSITY",
@@ -329,22 +328,14 @@ NEWTON_MIN_DENSITY = 0.5
 # R = 4 is fastest at m = 316 and even with R = 3 above it.
 _REFACTOR = 4
 
-# The column blocks that run at once, one per worker thread, together hold
-# about this many entries.  Per column of C weight rows (C = 1 for a binary
-# column) that is the _ROW_ARRAYS (m, C) arrays its evaluation keeps alive,
-# plus 2*_MEMORY*C*p history under L-BFGS or a side x side Newton factor,
-# side = p for a binary column and (C-1)p for a softmax block, so the block
-# width, not the number of columns, rows or threads, bounds memory.  The
-# row arrays alone decide whether blocks run on the worker threads: when
-# they fit one block, the narrower factor-sized blocks run in order on the
-# calling thread, one block's factors alive at a time.  Each running Newton
-# block also holds one column's curvature temporaries at a time, outside
-# the budget: an (m, p) weighted design, and a p x p Gram block for a
-# softmax block.
-LBFGS_BLOCK_ENTRIES = 1 << 20
-# (m, C) arrays per column alive at once in one evaluation: the logistic
-# scores, losses and residuals (its 0/1 targets are bools); the softmax
-# scores and probabilities, with its few (m,) per-column terms
+# (m, C) arrays per column of C weight rows alive at once in one evaluation:
+# the logistic scores, losses and residuals (its 0/1 targets are bools); the
+# softmax scores and probabilities, with its few (m,) per-column terms.  A
+# column counts them against decoding.CHUNK_ENTRIES, plus 2*_MEMORY*C*p
+# history under L-BFGS or a side x side Newton factor, side = p for a binary
+# column and (C-1)p for a softmax block.  A running Newton block also holds
+# one column's curvature temporaries, outside the budget: an (m, p) weighted
+# design, and a p x p Gram block for a softmax block.
 _ROW_ARRAYS = 3
 
 # sufficient-decrease constant of the backtracking line search
@@ -420,7 +411,8 @@ def _logistic_objective(A: sparse.csr_matrix, d: int, targets, cfg: TrainConfig)
     (_ROW_ARRAYS).
     """
     m = A.shape[0]
-    At = A.T.tocsr()
+    # a CSC view sharing A's arrays, not a transposed copy
+    At = A.T
     lam = cfg.reg_lambda
 
     def objective(block: slice):
@@ -475,7 +467,7 @@ def _softmax_objective(A: sparse.csr_matrix, d: int, classes: np.ndarray, C: int
     _ROW_ARRAYS (m, C) arrays per column.
     """
     m, p = A.shape
-    At = A.T.tocsr()
+    At = A.T
     rows = np.arange(m)[:, None]
     lam = cfg.reg_lambda
 
@@ -727,7 +719,7 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
     per-block objects of newton(A.toarray(), reg)(k) (see NEWTON_MAX_DIM),
     which end with their finish step; the others take batched L-BFGS
     directions.  At w row workers a block holds at most
-    LBFGS_BLOCK_ENTRIES / w entries, so the blocks, one per worker at once
+    decoding.CHUNK_ENTRIES / w entries, so the blocks, one per worker at once
     (decoding._run_slices), keep that budget together.  A problem whose row
     arrays fit one block runs its blocks in order on this thread.  Returns
     (n, C, d+1) weights, bias last, and one report per column.
@@ -744,7 +736,7 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
     # per-weight L2 multipliers of a class row: reg_lambda on the d features, none on the bias
     reg = np.where(np.arange(p) < d, cfg.reg_lambda, 0.0)
     dim = C * p
-    # entries a column holds while its block runs: see LBFGS_BLOCK_ENTRIES
+    # entries a column holds while its block runs: see _ROW_ARRAYS
     per_column = _ROW_ARRAYS * m * C
     newton_path = dim <= NEWTON_MAX_DIM and A.nnz >= NEWTON_MIN_DENSITY * m * p
     if newton_path:
@@ -770,7 +762,7 @@ def _fit_columns(X: sparse.csr_matrix, objective, newton, C: int, n: int, names:
         f[block], iters[block] = f_k, iters_k
         norms[block] = np.max(np.abs(G), axis=0)
 
-    share = LBFGS_BLOCK_ENTRIES // decoding._WORKERS
+    share = decoding.CHUNK_ENTRIES // decoding._WORKERS
     blocks = _slices(n, max(1, share // (per_column + factor)))
     with _one_blas_thread():
         if n <= share // per_column:

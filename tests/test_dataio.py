@@ -171,6 +171,16 @@ class TestStatProbSidecar:
         back = load_stat_probs(p)
         np.testing.assert_array_equal(back, rows)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_means_rejected_before_writing(self, bad, tmp_path):
+        # once written as text that load_stat_probs then rejected
+        rows = np.full((2, 5), 0.25)
+        rows[1, 3] = bad
+        p = tmp_path / "q.mlq"
+        with pytest.raises(ValueError, match="finite"):
+            save_stat_probs(rows, 2, p)
+        assert not p.exists()
+
     def test_width_is_checked_on_save_and_load(self, tmp_path):
         with pytest.raises(ValueError, match="shape"):
             save_stat_probs(np.zeros((2, 7)), 3, tmp_path / "x.txt")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fbetamax import evaluation
+from fbetamax import decoding, evaluation, training
 from fbetamax.evaluation import (
     DEFAULT_REG_GRID,
     EvalReport,
@@ -221,7 +221,7 @@ class TestSurrogateRegret:
         rng = np.random.default_rng(5)
         model = _trained_surrogate(rng, s=3, d=4)
         n = len(model.active_flats)
-        monkeypatch.setattr(evaluation, "CHUNK_ENTRIES", (evaluation._REGRET_ARRAYS * n + 6) * 50)
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", (evaluation._REGRET_ARRAYS * n + 6) * 50)
         X = sparse.csr_matrix(rng.normal(size=(m, 4)))
         rows = np.stack([random_valid_means(3, rng) for _ in range(m)])
         whole = pointwise_binary_regret(rows[:, model.active_flats], model.score_rows(X))
@@ -255,6 +255,12 @@ class TestSurrogateRegret:
         assert surrogate_regret_estimate(model, X, rows) == want
         assert surrogate_regret_estimate(model, X.tolist(), rows) == want
         assert surrogate_regret_estimate(model, sparse.coo_matrix(X), rows) == want
+
+    def test_empty_batch_rejected(self):
+        # once NaN, after numpy's "Mean of empty slice" warning
+        model = _trained_surrogate(np.random.default_rng(9), s=3, d=4)
+        with pytest.raises(ValueError, match="empty"):
+            surrogate_regret_estimate(model, sparse.csr_matrix((0, 4)), np.zeros((0, 10)))
 
     def test_row_count_mismatch_rejected(self):
         model = _FixedScorer(np.zeros((4, 3)), np.arange(3), 2)
@@ -293,6 +299,44 @@ class TestSurrogateRegret:
         rows[2, 4] = bad
         with pytest.raises(ValueError, match=match):
             surrogate_regret_estimate(model, X, rows)
+
+
+class TestOneBudget:
+    @pytest.mark.parametrize("row_workers", [1], indirect=True)
+    def test_chunk_entries_sizes_column_and_regret_blocks(self, row_workers, monkeypatch):
+        # 10 Newton columns of 3*60 row entries and a 5 x 5 factor, and regret rows of
+        # 6*10 array entries and four nonzeros (six entries): a budget of 1000 takes
+        # columns 4 at a time and rows 15 at a time
+        rng = np.random.default_rng(10)
+        m, s, d = 60, 3, 4
+        data = Dataset(s=s, d=d, features=sparse.csr_matrix(rng.normal(size=(m, d))),
+                       labels=(rng.random((m, s)) < 0.4).astype(np.uint8))
+        means = np.stack([random_valid_means(s, rng) for _ in range(m)])
+        widths, heights = [], []
+        descent, slices = training._descent, evaluation._slices
+
+        def counting_descent(evaluate, direction, dim, n, cfg):
+            widths.append(n)
+            return descent(evaluate, direction, dim, n, cfg)
+
+        def counting_slices(rows, step):
+            out = slices(rows, step)
+            heights.extend(part.stop - part.start for part in out)
+            return out
+
+        monkeypatch.setattr(training, "_descent", counting_descent)
+        monkeypatch.setattr(evaluation, "_slices", counting_slices)
+
+        def blocks():
+            widths.clear()
+            heights.clear()
+            model = train_surrogate(data, TrainConfig(max_iters=5), SurrogateConfig.full(s, B1))
+            surrogate_regret_estimate(model, data.features, means)
+            return list(widths), list(heights)
+
+        assert blocks() == ([10], [60])
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", 1000)
+        assert blocks() == ([4, 4, 2], [15, 15, 15, 15])
 
 
 class TestTransferBound:

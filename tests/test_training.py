@@ -255,8 +255,6 @@ class TestBinarySolver:
 
     def test_columns_match_one_column_fits_exactly_above_cutoff(self, monkeypatch):
         # sparse and above the cutoff: batched L-BFGS, here at most two columns per block
-        import fbetamax.training as training_mod
-
         rng = np.random.default_rng(23)
         m, d = 150, NEWTON_MAX_DIM + 2  # odd p = d + 1: rows of a block sit at mixed alignments
         X = sparse.random(m, d, density=0.02, format="csr", random_state=np.random.RandomState(23))
@@ -264,7 +262,7 @@ class TestBinarySolver:
         T = (rng.random((m, 5)) < expit(X @ w_true)).astype(float)
         T[:, 2] = 0.0  # a saturating column converges later than the others
         p = d + 1
-        monkeypatch.setattr(training_mod, "LBFGS_BLOCK_ENTRIES", 2 * _lbfgs_column(m, p))
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", 2 * _lbfgs_column(m, p))
         cfg = TrainConfig(reg_lambda=0.01)
         names = ["a", "b", "c", "d", "e"]
         W, reports = fit_logistic_columns(X, T, cfg, names)
@@ -331,7 +329,7 @@ class TestLbfgsBlocks:
         # widths 4, 2 and 1 at 1, 2 and 4 workers: n = 1 is one block, 8 a multiple of
         # the width and 9 one column more
         X, T, m, p = _lbfgs_problem(n)
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * _lbfgs_column(m, p))
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", 4 * _lbfgs_column(m, p))
         names = [str(c) for c in range(n)]
         W, reports = fit_logistic_columns(X, T, TrainConfig(reg_lambda=0.01), names)
         for c in range(n):
@@ -345,7 +343,7 @@ class TestLbfgsBlocks:
         X, T, m, p = _lbfgs_problem(n)
         # one worker would take blocks of 6 columns, so n = 4 would be one block
         budget = 6 * _lbfgs_column(m, p)
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", budget)
         blocks, histories = [], []
         run_slices = training._run_slices
 
@@ -374,7 +372,7 @@ class TestLbfgsBlocks:
         # blocks [0:4] [4:8] [8:9], [0:2] .. [8:9] or one column each: columns 4
         # and 8 fail in two blocks after the first
         X, T, m, p = _lbfgs_problem(9)
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", 4 * _lbfgs_column(m, p))
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", 4 * _lbfgs_column(m, p))
         cfg = TrainConfig(reg_lambda=0.01)
         names = [str(c) for c in range(9)]
         want, want_reports = fit_logistic_columns(X, T, cfg, names)
@@ -426,7 +424,7 @@ class TestColumnBlocks:
 
     @staticmethod
     def _fit_counting_blocks(monkeypatch, fit, budget):
-        """fit() under an LBFGS_BLOCK_ENTRIES budget; returns its result and the block sizes."""
+        """fit() under a decoding.CHUNK_ENTRIES budget; returns its result and the block sizes."""
         sizes = []
         descent = training._descent
 
@@ -437,7 +435,7 @@ class TestColumnBlocks:
         with monkeypatch.context() as patch:
             patch.setattr(training, "_descent", counting)
             if budget is not None:
-                patch.setattr(training, "LBFGS_BLOCK_ENTRIES", budget)
+                patch.setattr(decoding, "CHUNK_ENTRIES", budget)
             return fit(), sizes
 
     def test_newton_logistic_blocks_match_one_block(self, row_workers, monkeypatch):
@@ -588,7 +586,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert all(r.converged for r in reports)
         # the budget, plus one column's curvature temporaries, under one factor's size
-        assert peak < (training.LBFGS_BLOCK_ENTRIES + side * side) * 8
+        assert peak < (decoding.CHUNK_ENTRIES + side * side) * 8
 
     def test_newton_path_at_s30(self):
         # 901 columns on dense features: about 0.39 in column blocks, 6.1 with the
@@ -611,7 +609,7 @@ class TestBoundedMemory:
         m, s, d = 150, 20, NEWTON_MAX_DIM + 2
         X = sparse.random(m, d, density=0.02, format="csr", random_state=np.random.RandomState(49))
         data = Dataset(s=s, d=d, features=X, labels=(rng.random((m, s)) < 0.4).astype(np.uint8))
-        monkeypatch.setattr(training, "LBFGS_BLOCK_ENTRIES", _lbfgs_column(m, d + 1))
+        monkeypatch.setattr(decoding, "CHUNK_ENTRIES", _lbfgs_column(m, d + 1))
         import tracemalloc
 
         tracemalloc.start()
