@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fmeasure import BetaParam
+from .fmeasure import BetaParam, _fill_counts
 from .losses import sigmoid_into
 from .surrogate import SurrogateConfig
 from .training import (
@@ -65,13 +65,10 @@ class EfpModel(_RowScorer):
         object.__setattr__(self, "counts", counts)
 
     def _means(self, scores: np.ndarray, out: np.ndarray) -> None:
-        s, n = self.s, len(scores)
-        out.fill(0.0)
+        s, counts = self.s, self.counts
+        probs = _shifted_softmax(scores[:, 1:].reshape(len(scores), s, 1 + len(counts)))[0]
+        _fill_counts(out, s, counts, probs[:, :, 1:])
         sigmoid_into(scores[:, 0], out=out[:, 0])
-        # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]
-        ks = np.asarray(self.counts, dtype=np.intp) - 1
-        probs = _shifted_softmax(scores[:, 1:].reshape(n, s, 1 + len(ks)))[0]
-        out[:, 1:].reshape(n, s, s)[:, :, ks] = probs[:, :, 1:]
 
 
 def train_efp(data: Dataset, cfg: TrainConfig, beta: BetaParam) -> EfpModel:

@@ -9,6 +9,7 @@ error: it writes no model, chooses no reg, or writes no CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .baselines import train_br, train_efp
 from .decoding import decode_rows
 from .fmeasure import BetaParam, labelvec_rows
 from .surrogate import SurrogateConfig
-from .synth import build_distribution, sample_batch
+from .synth import build_distribution, sample_batch, to_dataset
 from .training import Dataset, TrainConfig, train_surrogate
 
 __all__ = ["ConsistencyRow", "check_converged", "main", "run_consistency"]
@@ -202,15 +203,11 @@ def _print_reports(reports) -> None:
 
 
 def _cmd_synth(args) -> int:
-    import os
-
     support = "exclusive" if args.br_adversarial else "full"
     dist = build_distribution(args.seed, s=args.s, d=args.d, support=support)
     train = sample_batch(dist, args.train_size, stream=0)
     test = sample_batch(dist, args.test_size, stream=1)
     os.makedirs(args.out_dir, exist_ok=True)
-    from .synth import to_dataset
-
     train_path = os.path.join(args.out_dir, "train.mlsparse")
     test_path = os.path.join(args.out_dir, "test.mlsparse")
     q_path = os.path.join(args.out_dir, "test.qtrue")
@@ -224,6 +221,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.full_k and args.algo != "surrogate":
+        raise ValueError(f"--full-k applies to --algo surrogate only, not {args.algo}")
     data = dataio.load_dataset(args.input)
     beta = BetaParam(args.beta)
     cfg = TrainConfig(reg_lambda=args.reg, bias=not args.no_bias)

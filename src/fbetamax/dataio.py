@@ -22,8 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .baselines import BrModel, EfpModel
-from .evaluation import _check_bits
-from .fmeasure import BetaParam, LabelVec, labelvec_rows
+from .fmeasure import BetaParam, LabelVec, _bit_matrix, labelvec_rows
 from .training import Dataset, LinearModel, _Trained
 from .surrogate import SurrogateConfig
 
@@ -55,6 +54,24 @@ _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :")))
 
 class DataFormatError(ValueError):
     """A file violated one of the documented format rules."""
+
+
+def _check_dim(where: str, name: str, value: int) -> None:
+    """DataFormatError naming the header line `where` when value exceeds any array axis."""
+    if value > np.iinfo(np.intp).max:
+        raise DataFormatError(f"{where}: {name}={value} exceeds the largest array dimension")
+
+
+def _check_dataset_dims(s: int, d: int) -> None:
+    """Refuse a dataset header whose s or d its parse could not hold, naming line 1."""
+    _check_dim("line 1", "d", d)
+    # each block's labels become a (rows, s) bit matrix: a width that matrix
+    # cannot take is a header error, not a MemoryError mid-file
+    try:
+        np.empty((_BLOCK_ROWS, s), dtype=np.uint8)
+    except (MemoryError, ValueError):
+        raise DataFormatError(f"line 1: {_BLOCK_ROWS} rows of s={s} tags "
+                              f"do not fit in memory") from None
 
 
 # same bytes as f"{x:.17g}", and cheap enough to map over whole rows
@@ -212,13 +229,7 @@ def load_dataset(path) -> Dataset:
             raise DataFormatError("line 1: s and d must be integers") from None
         if s < 1 or d < 1:
             raise DataFormatError("line 1: s and d must be >= 1")
-        # each block's labels become a (rows, s) bit matrix: a width that
-        # matrix cannot take is a header error, not a MemoryError mid-file
-        try:
-            np.empty((_BLOCK_ROWS, s), dtype=np.uint8)
-        except (MemoryError, ValueError):
-            raise DataFormatError(f"line 1: {_BLOCK_ROWS} rows of s={s} tags "
-                                  f"do not fit in memory") from None
+        _check_dataset_dims(s, d)
 
         pieces = [(np.zeros((0, s), dtype=np.uint8), np.zeros(0, dtype=np.intp),
                    np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float64))]
@@ -305,6 +316,7 @@ def load_stat_probs(path) -> np.ndarray:
         if s < 1:
             raise DataFormatError("line 1: s must be >= 1")
         width = s * s + 1
+        _check_dim("line 1", "s*s+1", width)
         blocks = [np.zeros((0, width), dtype=np.float64)]
         blocks.extend(_parsed_blocks(fh, 2, _stat_prob_block, _stat_prob_lines, width))
     return np.concatenate(blocks)
@@ -314,13 +326,10 @@ def save_predictions(bits, path) -> None:
     """One labeling per line as comma-separated 1-based active tags.
 
     bits is an (m, s) 0/1 matrix, as predict_rows returns, or a sequence of LabelVec.
-    A matrix that is not 2-d or holds other values raises ValueError before
-    the file is opened.
+    A matrix that is not 2-d or holds other values, or LabelVecs of different
+    tag counts, raise ValueError before the file is opened.
     """
-    if isinstance(bits, np.ndarray):
-        _check_bits(bits)
-    else:
-        bits = np.array([y.bits for y in bits], dtype=np.uint8)
+    bits = _bit_matrix(bits)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(bits), _BLOCK_ROWS):
             fh.write("".join(line + "\n" for line in _tag_text(bits[lo:lo + _BLOCK_ROWS])))
@@ -411,6 +420,8 @@ def _parse_model_header(lines: list[str]) -> dict:
         raise DataFormatError("line 3: s must be >= 1")
     if fields["d"] < 1:
         raise DataFormatError("line 4: d must be >= 1")
+    _check_dim("line 3", "s", s)
+    _check_dim("line 4", "d", fields["d"])
     if not (np.isfinite(fields["beta"]) and fields["beta"] > 0.0):
         raise DataFormatError("line 5: beta must be a finite positive real")
     if fields["bias"] not in (0, 1):
@@ -450,7 +461,7 @@ def load_model(path, expected_algo: str | None = None):
         width = fields["d"] + 1
         try:
             rows = np.empty((fields["vectors"], width))
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise DataFormatError(f"lines 4 and 9: {fields['vectors']} weight vectors of "
                                   f"{width} entries do not fit in memory") from None
         found, error = 0, None
@@ -555,6 +566,7 @@ def convert_interchange(src, dst, zero_based: bool = True) -> None:
         raise DataFormatError("line 1: counts must be integers") from None
     if m < 0 or d < 1 or s < 1:
         raise DataFormatError("line 1: num_points must be >= 0, the other counts >= 1")
+    _check_dataset_dims(s, d)
     if n_body != m:
         raise DataFormatError(
             f"line {min(n_body, m) + 2}: header declares {m} points, file holds {n_body}"

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fmeasure import BetaParam, LabelVec, loss_coeffs_matrix
+from .fmeasure import BetaParam, LabelVec, _code_bits, _pair_block, loss_coeffs_matrix
 
 __all__ = [
     "CHUNK_ENTRIES",
@@ -67,8 +67,7 @@ _BRUTE_CHUNK = 1 << 14
 def _coeff_table(s: int, beta: BetaParam) -> np.ndarray:
     """(counts x sizes) table -(1+beta^2) / (beta^2 * k + l) for k, l in 1..s."""
     ks = np.arange(1, s + 1, dtype=np.float64)
-    ls = np.arange(1, s + 1, dtype=np.float64)
-    return -(1.0 + beta.beta_sq) / (beta.beta_sq * ks[:, None] + ls[None, :])
+    return -(1.0 + beta.beta_sq) / (beta.beta_sq * ks[:, None] + ks[None, :])
 
 
 def _near_min(objs: np.ndarray) -> np.ndarray:
@@ -238,7 +237,7 @@ def _decode_piece(chunk: np.ndarray, s: int, coeffs: np.ndarray) -> tuple[np.nda
     n = chunk.shape[0]
     tags = np.arange(s)
     # per-tag scores in (n, size, tag) order, so each size's tags are contiguous
-    T = np.ascontiguousarray((chunk[:, 1:].reshape(n, s, s) @ coeffs).transpose(0, 2, 1))
+    T = np.ascontiguousarray((_pair_block(chunk, n, s) @ coeffs).transpose(0, 2, 1))
     # the optimum over labelings of size l is the sum of the l smallest
     # entries of row l-1: only those s prefix sums are added, in the order
     # np.cumsum along each row would add them, so they match it bit for bit
@@ -303,11 +302,6 @@ def _tie_keys(bits: np.ndarray, s: int) -> np.ndarray:
     lex = (bits.astype(np.int64) * (1 << (s - 1 - np.arange(s, dtype=np.int64)))).sum(axis=1)
     # among equal popcounts the largest rank holds the smallest tag indices
     return pop * (1 << s) + ((1 << s) - 1 - lex)
-
-
-def _code_bits(codes: np.ndarray, s: int) -> np.ndarray:
-    """(len(codes), s) 0/1 rows; bit j of a code is tag j+1."""
-    return ((codes[:, None] >> np.arange(s, dtype=np.int64)) & 1).astype(np.uint8)
 
 
 def decode_brute(q: np.ndarray, s: int, beta: BetaParam) -> LabelVec:

@@ -11,7 +11,7 @@ from scipy import sparse
 
 from . import decoding
 from .decoding import _check_means, _map_rows, _slices, decode_rows
-from .fmeasure import BetaParam, LabelVec, _loss_coeffs_rows
+from .fmeasure import BetaParam, LabelVec, _bit_matrix, _loss_coeffs_rows
 from .losses import STRONG_PROPERNESS, pointwise_binary_regret
 from .training import Dataset
 
@@ -86,26 +86,10 @@ def _cell(val) -> str:
     return f"{val:.12g}"
 
 
-def _check_bits(bits: np.ndarray) -> None:
-    """ValueError unless bits is a 2-d matrix of 0/1 values."""
-    if bits.ndim != 2:
-        raise ValueError("expected a 2-d bit matrix")
-    # checked before any cast, which would truncate 0.5 to 0
-    if not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("label values must be 0 or 1")
-
-
-def _as_bit_matrix(labelings: Sequence[LabelVec] | np.ndarray) -> np.ndarray:
-    if isinstance(labelings, np.ndarray):
-        _check_bits(labelings)
-        return labelings.astype(np.int64)
-    return np.array([y.bits for y in labelings], dtype=np.int64)
-
-
 def evaluate_bits(pred_bits: np.ndarray, true_bits: np.ndarray, beta: BetaParam) -> EvalReport:
     """Instance-averaged F-beta, precision, and recall for bit matrices."""
-    pred_bits = _as_bit_matrix(pred_bits)
-    true_bits = _as_bit_matrix(true_bits)
+    pred_bits = _bit_matrix(pred_bits)
+    true_bits = _bit_matrix(true_bits)
     if pred_bits.shape != true_bits.shape:
         raise ValueError(
             f"prediction and truth shapes differ: {pred_bits.shape} vs {true_bits.shape}"
@@ -149,12 +133,12 @@ def mean_expected_f(prob_rows: np.ndarray, pred_bits: np.ndarray, beta: BetaPara
     coefficient temporaries stay O(chunk * s^2) whatever m is.
     """
     prob_rows = np.asarray(prob_rows, dtype=np.float64)
-    pred_bits = _as_bit_matrix(pred_bits)
+    pred_bits = _bit_matrix(pred_bits)
     m, s = pred_bits.shape
-    if prob_rows.shape != (m, s * s + 1):
-        raise ValueError(f"expected means of shape ({m}, {s * s + 1}), got {prob_rows.shape}")
     if m == 0:
         raise ValueError("cannot evaluate an empty test set")
+    if prob_rows.shape != (m, s * s + 1):
+        raise ValueError(f"expected means of shape ({m}, {s * s + 1}), got {prob_rows.shape}")
     per_point = np.empty(m)
 
     def piece(rows: slice) -> None:
@@ -236,12 +220,6 @@ def check_regret_bound(f_regret: float, psi_regret: float, s: int,
     return bound, bool(f_regret <= bound + _SLACK)
 
 
-def _fold_slices(m: int, folds: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    return [fold for fold in np.array_split(perm, folds)]
-
-
 def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
     return Dataset(s=data.s, d=data.d, features=data.features[rows], labels=data.bits[rows])
 
@@ -268,7 +246,7 @@ def cross_validate(
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("the grid must be non-empty")
-    fold_rows = _fold_slices(data.m, folds, seed)
+    fold_rows = np.array_split(np.random.default_rng(seed).permutation(data.m), folds)
     all_rows = np.arange(data.m)
     rows_out: list[tuple[float, int, float]] = []
     best_reg, best_score = grid[0], -np.inf

@@ -248,8 +248,12 @@ def all_labelings(s: int) -> np.ndarray:
         raise ValueError("s must be >= 1")
     if s > 24:
         raise ValueError("refusing to enumerate more than 2^24 labelings")
-    codes = np.arange(1 << s, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(s)[None, :]) & 1).astype(np.uint8)
+    return _code_bits(np.arange(1 << s, dtype=np.int64), s)
+
+
+def _code_bits(codes: np.ndarray, s: int) -> np.ndarray:
+    """(len(codes), s) 0/1 rows; bit j of a code is tag j+1."""
+    return ((codes[:, None] >> np.arange(s, dtype=np.int64)) & 1).astype(np.uint8)
 
 
 def labelvec_rows(bits: np.ndarray) -> list[LabelVec]:
@@ -262,6 +266,25 @@ def labelvec_rows(bits: np.ndarray) -> list[LabelVec]:
         out.extend(shared.get(row) or shared.setdefault(row, LabelVec(row))
                    for row in map(tuple, bits[lo:lo + 1024].tolist()))
     return out
+
+
+def _bit_matrix(labels, s: int = 0) -> np.ndarray:
+    """The (m, s) uint8 copy of a 2-d 0/1 array or a LabelVec sequence; inverse of labelvec_rows.
+
+    The LabelVecs must agree on their tag count; an empty sequence gives (0, s).
+    """
+    if isinstance(labels, np.ndarray):
+        if labels.ndim != 2:
+            raise ValueError("expected a 2-d bit matrix")
+        # checked before the cast, which would truncate 0.5 to 0
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("label values must be 0 or 1")
+        return labels.astype(np.uint8)
+    rows = [y.bits for y in labels]
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ValueError(f"labelings have different tag counts: {', '.join(map(str, widths))}")
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), widths[0] if rows else s)
 
 
 def label_stats_matrix(bits: np.ndarray) -> np.ndarray:
@@ -314,3 +337,9 @@ def _pair_block(out: np.ndarray, m: int, s: int) -> np.ndarray:
     """The (m, s, s) pair slots of an (m, s^2+1) table, as a view that writes through."""
     # splitting the contiguous last axis never needs a copy
     return out[:, 1:].reshape(m, s, s)
+
+
+def _fill_counts(out: np.ndarray, s: int, counts, values: np.ndarray) -> None:
+    """Zero an (n, s^2+1) table and write values[:, j-1, i] into its slot (j, counts[i])."""
+    out.fill(0.0)
+    _pair_block(out, len(out), s)[:, :, np.asarray(counts, dtype=np.intp) - 1] = values

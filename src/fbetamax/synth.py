@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .fmeasure import LabelVec, all_labelings, label_stats_matrix, labelvec_rows
@@ -53,8 +54,7 @@ class SynthDistribution:
     def __post_init__(self) -> None:
         for name in ("concentration", "support_bits", "support_stats",
                      "logit_map", "logit_map_pinv"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+            getattr(self, name).flags.writeable = False
 
     @property
     def n_outcomes(self) -> int:
@@ -322,11 +322,5 @@ def sample_batch(dist: SynthDistribution, n: int, stream: int = 0) -> SynthSampl
 
 
 def to_dataset(dist: SynthDistribution, sample: SynthSample) -> Dataset:
-    from scipy import sparse
-
-    return Dataset(
-        s=dist.s,
-        d=dist.d,
-        features=sparse.csr_matrix(sample.features),
-        labels=sample.bits,
-    )
+    return Dataset(s=dist.s, d=dist.d, features=sparse.csr_matrix(sample.features),
+                   labels=sample.bits)

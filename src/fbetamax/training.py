@@ -35,7 +35,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import decoding
 from .decoding import _coeff_table, _decode_piece, _map_rows, _one_blas_thread, _run_slices, _slices
-from .fmeasure import BetaParam, StatIndex
+from .fmeasure import BetaParam, StatIndex, _bit_matrix, _fill_counts
 from .losses import sigmoid_into
 from .surrogate import SurrogateConfig, _coordinate_targets, coordinates
 
@@ -74,14 +74,12 @@ class Dataset:
         if self.s < 1 or self.d < 1:
             raise ValueError("s and d must be >= 1")
         if not isinstance(labels, np.ndarray):
-            # a sequence of LabelVec
-            labels = np.array([y.bits for y in labels] or np.zeros((0, self.s)))
+            labels = _bit_matrix(labels, self.s)
         if labels.ndim != 2 or labels.shape[1] != self.s:
             raise ValueError(f"labels must be an (m, s) matrix over all {self.s} tags, "
                              f"got shape {labels.shape}")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("label values must be 0 or 1")
-        bits = labels.astype(np.uint8)
+        # a checked copy, which the caller's array does not share
+        bits = _bit_matrix(labels)
         bits.flags.writeable = False
         feats = sparse.csr_matrix(self.features, dtype=np.float64)
         if feats.shape != (len(bits), self.d):
@@ -860,13 +858,9 @@ class LinearModel(_RowScorer):
         if len(counts) == s:
             sigmoid_into(scores, out=out)
             return
-        n = len(scores)
         sigmoid_into(scores, out=scores)
-        out.fill(0.0)
+        _fill_counts(out, s, counts, scores[:, 1:].reshape(len(scores), s, len(counts)))
         out[:, 0] = scores[:, 0]
-        # columns k-1, k in K, of the (n, tag, count) view of out[:, 1:]
-        ks = np.asarray(counts, dtype=np.intp) - 1
-        out[:, 1:].reshape(n, s, s)[:, :, ks] = scores[:, 1:].reshape(n, s, len(ks))
 
 
 def train_surrogate(data: Dataset, cfg: TrainConfig, scfg: SurrogateConfig) -> LinearModel:

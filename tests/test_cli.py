@@ -236,6 +236,33 @@ class TestErrorPaths:
                        "do not fit in memory\n")
         assert not model.exists()
 
+    def test_feature_count_beyond_any_array_axis(self, tmp_path, capsys):
+        # once a traceback from scipy's OverflowError
+        data = tmp_path / "wide.txt"
+        data.write_text("#ml-sparse v1 s=2 d=100000000000000000000\n1\t1:1\n")
+        model = tmp_path / "m.txt"
+        code, _, err = _run(
+            capsys, "train", "--algo", "br", "--input", str(data), "--model-out", str(model),
+        )
+        assert code == 1
+        assert err.startswith("error: line 1: d=100000000000000000000 exceeds")
+        assert err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("algo", ["efp", "br"])
+    def test_full_k_is_refused_for_the_baselines(self, tmp_path, capsys, algo):
+        # once ignored without a word
+        out = str(tmp_path / "data")
+        _run(capsys, *SYNTH, "--out-dir", out)
+        model = tmp_path / "m.txt"
+        code, stdout, err = _run(
+            capsys, "train", "--algo", algo, "--full-k", "--input", f"{out}/train.mlsparse",
+            "--model-out", str(model),
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: --full-k applies to --algo surrogate only, not {algo}\n"
+        assert not model.exists()
+
     def test_too_few_features_for_synth(self, tmp_path, capsys):
         code, _, err = _run(
             capsys, "synth", "--s", "3", "--d", "5", "--out-dir", str(tmp_path / "x"),

@@ -117,6 +117,14 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=f"^line 1: .* s={s} tags do not fit in memory$"):
             load_dataset(p)
 
+    def test_feature_count_beyond_any_array_axis_is_a_header_error(self, tmp_path):
+        # once scipy's OverflowError, which the CLI printed as a traceback
+        p = tmp_path / "wide.txt"
+        _write(p, "#ml-sparse v1 s=2 d=100000000000000000000\n1\t1:1\n")
+        with pytest.raises(DataFormatError,
+                           match="^line 1: d=100000000000000000000 exceeds the largest array"):
+            load_dataset(p)
+
     def test_header_only_file_is_empty_dataset_error(self, tmp_path):
         # zero rows cannot form a Dataset downstream, but loading is exact
         p = tmp_path / "empty.txt"
@@ -196,6 +204,14 @@ class TestStatProbSidecar:
         with pytest.raises(DataFormatError, match="line 3: values must be finite"):
             load_stat_probs(p)
 
+    def test_width_beyond_any_array_axis_is_a_header_error(self, tmp_path):
+        # s^2 + 1 = 10^22 + 1 means per line
+        p = tmp_path / "q.txt"
+        _write(p, "#ml-q v1 s=100000000000\n")
+        with pytest.raises(DataFormatError,
+                           match=r"^line 1: s\*s\+1=10000000000000000000001 exceeds the largest"):
+            load_stat_probs(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "z.txt"
         _write(p, "#ml-probs v1 s=2\n")
@@ -232,6 +248,17 @@ class TestPredictions:
         with pytest.raises(ValueError, match="0 or 1"):
             save_predictions(bits, p)
         assert not p.exists()
+
+    def test_labelings_of_different_tag_counts_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        with pytest.raises(ValueError, match="^labelings have different tag counts: 2, 3$"):
+            save_predictions([LabelVec((1, 0)), LabelVec((0, 1, 1))], p)
+        assert not p.exists()
+
+    def test_empty_labelvec_sequence_writes_an_empty_file(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        save_predictions([], p)
+        assert p.read_bytes() == b""
 
     def test_one_dimensional_bits_rejected_before_writing(self, tmp_path):
         p = tmp_path / "pred.txt"
@@ -462,6 +489,25 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="^lines 4 and 9: .* do not fit in memory$"):
             load_model(p)
 
+    @pytest.mark.parametrize("header, message", [
+        # a surrogate with no counts has one vector whatever s is
+        ("algo=surrogate\ns=100000000000000000000\nd=1\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+         "vectors=1\n0 0\n", "^line 3: s=100000000000000000000 exceeds the largest array"),
+        ("algo=br\ns=100000000000000000000\nd=1\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+         "vectors=100000000000000000000\n", "^line 3: s=100000000000000000000 exceeds"),
+        ("algo=br\ns=1\nd=100000000000000000000\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+         "vectors=1\n", "^line 4: d=100000000000000000000 exceeds the largest array"),
+        # each fits an axis, but 2^40 x (2^40 + 1) doubles exceed numpy's largest array
+        ("algo=br\ns=1099511627776\nd=1099511627776\nbeta=1\nbias=1\nreg=0\ncounts=\n"
+         "vectors=1099511627776\n", "^lines 4 and 9: .* do not fit in memory$"),
+    ], ids=["surrogate-s", "br-s", "d", "vectors"])
+    def test_header_sizes_beyond_numpy_are_format_errors(self, tmp_path, header, message):
+        # each was once numpy's plain ValueError
+        p = tmp_path / "m.txt"
+        _write(p, "#ml-model v1\n" + header)
+        with pytest.raises(DataFormatError, match=message):
+            load_model(p)
+
     def test_streamed_body_skips_blank_lines(self, tmp_path):
         head = "#ml-model v1\nalgo=br\ns=2\nd=2\nbeta=1\nbias=0\nreg=0\ncounts=\nvectors=2\n"
         p = tmp_path / "m.txt"
@@ -577,6 +623,18 @@ class TestConvertInterchange:
         _write(src, "3 4\n")
         with pytest.raises(DataFormatError, match="num_points"):
             convert_interchange(src, tmp_path / "dst.txt")
+
+    @pytest.mark.parametrize("head, message", [
+        ("1 100000000000000000000 2", "^line 1: d=100000000000000000000 exceeds the largest"),
+        ("1 2 1000000000000000", "^line 1: 1024 rows of s=1000000000000000 tags do not fit"),
+    ], ids=["d", "s"])
+    def test_header_the_loader_would_refuse_is_refused(self, tmp_path, head, message):
+        # each was once converted into a file that load_dataset rejects
+        src, dst = tmp_path / "src.txt", tmp_path / "dst.txt"
+        _write(src, f"{head}\n0 0:1\n")
+        with pytest.raises(DataFormatError, match=message):
+            convert_interchange(src, dst)
+        assert not dst.exists()
 
     @pytest.mark.parametrize(
         "body, lineno, needle",

@@ -81,6 +81,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate([], [], B1)
 
+    def test_rejects_labelings_of_different_tag_counts(self):
+        ragged = [LabelVec((1, 0)), LabelVec((1, 0, 1))]
+        ok = [LabelVec((1, 0)), LabelVec((0, 1))]
+        for pred, truth in ((ragged, ok), (ok, ragged)):
+            with pytest.raises(ValueError, match="^labelings have different tag counts: 2, 3$"):
+                evaluate(pred, truth, B1)
+
     @pytest.mark.parametrize("bad", [[[2, 0]], [[1, 3]], [[2, -1]], [[0.5, 1.0]]])
     def test_rejects_non_bit_entries(self, bad):
         bad = np.array(bad)
@@ -110,6 +117,10 @@ class TestEvalReport:
 
 
 class TestExpectedFQuantities:
+    def test_mean_expected_f_of_no_predictions_is_refused(self):
+        with pytest.raises(ValueError, match="^cannot evaluate an empty test set$"):
+            mean_expected_f(np.full((1, 5), 0.1), [], B1)
+
     def test_mean_expected_f_matches_scalar_identity(self):
         rng = np.random.default_rng(1)
         s = 3

@@ -11,6 +11,8 @@ from fbetamax.fmeasure import (
     BetaParam,
     LabelVec,
     StatIndex,
+    _bit_matrix,
+    _code_bits,
     all_labelings,
     expected_fbeta,
     fbeta,
@@ -69,6 +71,32 @@ class TestLabelVec:
         ys = labelvec_rows(bits)
         assert ys == [LabelVec(tuple(row)) for row in bits.tolist()]
         assert len({id(y) for y in ys}) == len({tuple(row) for row in bits.tolist()})
+
+    @pytest.mark.parametrize("m, s", [(0, 3), (1, 1), (7, 4), (2500, 6)])
+    def test_bit_matrix_inverts_labelvec_rows(self, m, s):
+        bits = np.random.default_rng(10 * m + s).integers(0, 2, size=(m, s)).astype(np.uint8)
+        back = _bit_matrix(labelvec_rows(bits), s)
+        assert back.dtype == np.uint8 and back.shape == (m, s)
+        np.testing.assert_array_equal(back, bits)
+        # an array comes back as a uint8 copy
+        copy = _bit_matrix(bits.astype(np.float64))
+        assert copy.dtype == np.uint8 and not np.shares_memory(copy, bits)
+        np.testing.assert_array_equal(copy, bits)
+
+    def test_bit_matrix_rejects_what_is_not_one_bit_matrix(self):
+        with pytest.raises(ValueError, match="^expected a 2-d bit matrix$"):
+            _bit_matrix(np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match="^label values must be 0 or 1$"):
+            _bit_matrix(np.array([[1, 0.5]]))
+        with pytest.raises(ValueError, match="^labelings have different tag counts: 1, 2, 3$"):
+            _bit_matrix([LabelVec((1, 0)), LabelVec((1,)), LabelVec((0, 1, 1))])
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_all_labelings_enumerates_the_codes(self, s):
+        bits = all_labelings(s)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, [labelvec_of(code, s).bits for code in range(1 << s)])
+        np.testing.assert_array_equal(bits, _code_bits(np.arange(1 << s), s))
 
 
 class TestStatIndex:

@@ -1282,6 +1282,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="label"):
             Dataset(s=2, d=3, features=sparse.csr_matrix(np.zeros((2, 3))), labels=labels)
 
+    def test_labelings_of_different_tag_counts_rejected(self):
+        with pytest.raises(ValueError, match="^labelings have different tag counts: 2, 3$"):
+            Dataset(s=2, d=3, features=sparse.csr_matrix(np.zeros((2, 3))),
+                    labels=(LabelVec((0, 1)), LabelVec((1, 1, 0))))
+
     def test_empty_labels_give_an_empty_matrix(self):
         data = Dataset(s=3, d=2, features=sparse.csr_matrix((0, 2)), labels=())
         assert data.bits.shape == (0, 3) and data.bits.dtype == np.uint8
